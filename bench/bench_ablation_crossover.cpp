@@ -49,6 +49,7 @@ core::SweepConfig make_sweep() {
 
 int main(int argc, char** argv) {
   const core::SweepCli cli = core::SweepCli::parse(argc, argv);
+  cli.expect_positionals(0);
   core::SweepConfig cfg = make_sweep();
   cli.apply(cfg);
 

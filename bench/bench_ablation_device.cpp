@@ -43,6 +43,7 @@ std::vector<Device> device_classes() {
 
 int main(int argc, char** argv) {
   const core::SweepCli cli = core::SweepCli::parse(argc, argv);
+  cli.expect_positionals(0);
   const std::vector<Device> devices = device_classes();
 
   core::SweepConfig cfg;

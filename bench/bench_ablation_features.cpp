@@ -26,6 +26,7 @@ std::string variant_name(int halt_poll, bool ple) {
 
 int main(int argc, char** argv) {
   const core::SweepCli cli = core::SweepCli::parse(argc, argv);
+  cli.expect_positionals(0);
 
   core::SweepConfig cfg;
   cfg.base.machine = hw::MachineSpec::small(4);

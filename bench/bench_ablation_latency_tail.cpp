@@ -28,6 +28,7 @@ std::string variant_name(sim::SimTime interarrival) {
 
 int main(int argc, char** argv) {
   const core::SweepCli cli = core::SweepCli::parse(argc, argv);
+  cli.expect_positionals(0);
 
   core::SweepConfig cfg;
   cfg.base.machine = hw::MachineSpec::small(2);

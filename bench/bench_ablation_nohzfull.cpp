@@ -56,6 +56,7 @@ void apply_workload(const char* workload, core::ExperimentSpec& exp) {
 
 int main(int argc, char** argv) {
   const core::SweepCli cli = core::SweepCli::parse(argc, argv);
+  cli.expect_positionals(0);
 
   core::SweepConfig cfg;
   cfg.modes = {guest::TickMode::kPeriodic, guest::TickMode::kDynticksIdle,

@@ -25,6 +25,7 @@ std::string variant_name(int vms) { return metrics::format("vms=%d", vms); }
 
 int main(int argc, char** argv) {
   const core::SweepCli cli = core::SweepCli::parse(argc, argv);
+  cli.expect_positionals(0);
 
   core::SweepConfig cfg;
   cfg.base.machine = hw::MachineSpec::small(8);

@@ -24,6 +24,7 @@ constexpr const char* kBursty = "bursty (1.5 ms on / 0.8 ms off)";
 
 int main(int argc, char** argv) {
   const core::SweepCli cli = core::SweepCli::parse(argc, argv);
+  cli.expect_positionals(0);
 
   core::SweepConfig cfg;
   cfg.base.machine = hw::MachineSpec::small(1);

@@ -30,6 +30,7 @@ std::string variant_name(double host_hz) {
 
 int main(int argc, char** argv) {
   const core::SweepCli cli = core::SweepCli::parse(argc, argv);
+  cli.expect_positionals(0);
 
   core::SweepConfig cfg;
   cfg.base.machine = hw::MachineSpec::small(1);

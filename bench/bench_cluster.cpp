@@ -5,10 +5,10 @@
 // Each grid cell runs a core::Cluster — one System per host, coupled
 // through the parallel engine with the host boundary as the partition
 // boundary, so --engine-threads N parallelizes the cell across hosts
-// while -j fans cells out across the grid. Both knobs, and the backend,
-// leave every exported byte unchanged (the cluster-smoke CI job cmp's
-// them). The overcommit axis resizes the per-host machine exactly like
-// the single-host benches, so rows self-describe the vCPU:pCPU ratio.
+// while -j fans cells out across the grid. Neither knob changes an
+// exported byte (the cluster-smoke CI job cmp's them). The overcommit
+// axis resizes the per-host machine exactly like the single-host
+// benches, so rows self-describe the vCPU:pCPU ratio.
 //
 // Cluster flags (strict numeric parsing, exit 2 on garbage):
 //   --hosts N                  single hosts-axis point (default: 2 and 4)
@@ -26,7 +26,7 @@
 //                              --lookahead-mode topology beats global.
 //   --telemetry-latency-us U   declared latency of those links (default 50)
 // Plus the shared sweep CLI (core/sweep.hpp): -j, --engine-threads,
-// --lookahead-mode, --max-horizon-windows, --repeat, --seed, --backend,
+// --lookahead-mode, --max-horizon-windows, --repeat, --seed,
 // --sweep-csv/json, --history-dir, ...
 #include <cstdio>
 #include <cstdlib>

@@ -16,6 +16,7 @@ using namespace paratick;
 
 int main(int argc, char** argv) {
   const core::SweepCli cli = core::SweepCli::parse(argc, argv);
+  cli.expect_positionals(1);
   const char* only = cli.positional.empty() ? nullptr : cli.positional.front().c_str();
 
   core::SweepConfig cfg;

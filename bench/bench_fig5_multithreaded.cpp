@@ -40,6 +40,7 @@ constexpr SizeSpec kSizes[] = {
 
 int main(int argc, char** argv) {
   const core::SweepCli cli = core::SweepCli::parse(argc, argv);
+  cli.expect_positionals(2);
   const char* size_arg = !cli.positional.empty() ? cli.positional[0].c_str() : "all";
   const char* bench_arg =
       cli.positional.size() > 1 ? cli.positional[1].c_str() : nullptr;

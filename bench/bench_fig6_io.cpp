@@ -37,6 +37,7 @@ double mbps(double exec_ms, std::uint64_t bytes) {
 
 int main(int argc, char** argv) {
   const core::SweepCli cli = core::SweepCli::parse(argc, argv);
+  cli.expect_positionals(1);
   const char* only = cli.positional.empty() ? nullptr : cli.positional[0].c_str();
 
   core::SweepConfig cfg;

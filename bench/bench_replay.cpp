@@ -1,9 +1,7 @@
 // Replay failure bundles written by a chaos sweep (core/replay.hpp):
 // rebuild the sweep config from each bundle's scenario, re-execute the
 // recorded run index, and verify the failure reproduces — same kind,
-// same failing expression, same simulated timestamp. Crash bundles
-// (forked child killed by a signal) are re-executed in a forked child so
-// the replayer survives the reproduction.
+// same failing expression, same simulated timestamp.
 //
 // When the producing sweep ran with --record-trace, the bundle carries
 // an event trace of the failed run and the replay is checked against it
@@ -102,7 +100,9 @@ int replay_one(const std::string& path, const Options& opt) {
   try {
     bundle = core::load_replay_bundle(path);
   } catch (const sim::SimError& e) {
-    std::fprintf(stderr, "bench_replay: cannot load %s: %s\n", path.c_str(),
+    // The loader's message names the file (and, for an unknown failure
+    // kind such as an older build's "crash", the kind).
+    std::fprintf(stderr, "bench_replay: cannot load bundle: %s\n",
                  e.msg().c_str());
     return 2;
   }
@@ -138,8 +138,8 @@ int replay_one(const std::string& path, const Options& opt) {
                                         ? std::string{}
                                         : resolve_trace_path(path, bundle);
 
-  // No trace (pre-trace bundle, or a crash that died before writing one):
-  // plain disposition replay, as before.
+  // No trace (pre-trace bundle, or a sweep run without --record-trace):
+  // plain disposition replay.
   if (trace_path.empty()) {
     if (opt.bisect) {
       std::fprintf(stderr,

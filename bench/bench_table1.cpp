@@ -84,6 +84,7 @@ std::uint64_t timer_exits(const core::SweepResult& res, const char* scenario,
 
 int main(int argc, char** argv) {
   const core::SweepCli cli = core::SweepCli::parse(argc, argv);
+  cli.expect_positionals(0);
   core::SweepConfig cfg = make_sweep();
   cli.apply(cfg);
 

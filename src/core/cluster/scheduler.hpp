@@ -6,7 +6,7 @@
 // rebalance barriers — the same information a real cloud operator gets
 // from tenant kernels on hardware without a paravirtual steal clock.
 // Decisions are pure functions of the views handed in, which keeps
-// cluster runs bit-identical across engine-thread counts and backends.
+// cluster runs bit-identical across engine-thread and -j counts.
 #pragma once
 
 #include <vector>

@@ -57,7 +57,7 @@ SystemSpec make_system_spec(const ExperimentSpec& exp, guest::TickMode mode) {
 metrics::RunResult run_mode(const ExperimentSpec& exp, guest::TickMode mode) {
   // Scenario factory: topologies beyond one host (the cluster layer) run
   // the materialized spec themselves; everything above this dispatch —
-  // planning, seeds, backends, exports — is shared unchanged.
+  // planning, seeds, execution, exports — is shared unchanged.
   if (exp.scenario.run) return exp.scenario.run(exp, mode);
   System system(make_system_spec(exp, mode));
   return system.run();

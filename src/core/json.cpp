@@ -183,7 +183,7 @@ Value parse(const std::string& text) {
     return parser.parse();
   } catch (const sim::SimError& e) {
     // Re-throw with the byte offset where parsing stopped: for a corrupt
-    // multi-megabyte partial snapshot, "json: bad number" alone is not
+    // multi-megabyte history snapshot, "json: bad number" alone is not
     // actionable — "at byte offset 1048241" pins the torn write.
     const std::string msg =
         e.msg() + " (at byte offset " + std::to_string(parser.i_) + " of " +

@@ -17,7 +17,6 @@ void quiesce(SweepConfig& cfg) {
   cfg.record_trace = false;
   cfg.progress = false;
   cfg.failure_dir.clear();
-  cfg.partial_path.clear();
 }
 
 struct Probe {
@@ -42,10 +41,6 @@ Probe probe_prefix(const SweepConfig& cfg, const ReplayBundle& b,
 
 ReplayCheckResult check_replay(SweepConfig cfg, const ReplayBundle& b,
                                const EventTrace& trace) {
-  PARATICK_CHECK_MSG(
-      b.failure.kind != RunFailure::Kind::kCrash,
-      "crash bundles replay in a forked child; their traces cannot be "
-      "checked in-process");
   quiesce(cfg);
   TraceChecker checker(trace, TraceChecker::Mode::kPerEvent);
   cfg.observer = &checker;

@@ -37,9 +37,6 @@ struct ReplayCheckResult {
 };
 
 /// Replay the bundle's run with a per-event trace checker attached.
-/// PARATICK_CHECKs on crash bundles: those replay in a forked child, so
-/// an in-process checker would never see their events (and a faithful
-/// reproduction would take the checker down with it).
 [[nodiscard]] ReplayCheckResult check_replay(SweepConfig cfg,
                                              const ReplayBundle& b,
                                              const EventTrace& trace);

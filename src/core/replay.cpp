@@ -5,12 +5,12 @@
 #include <filesystem>
 #include <string>
 
-#include "core/exec_backend.hpp"
 #include "core/json.hpp"
 #include "core/safe_io.hpp"
 #include "core/scenarios.hpp"
 #include "metrics/report.hpp"
 #include "sim/check.hpp"
+#include "sim/error.hpp"
 
 namespace paratick::core {
 
@@ -19,11 +19,13 @@ namespace {
 RunFailure::Kind kind_from_name(const std::string& name) {
   using Kind = RunFailure::Kind;
   for (const Kind k : {Kind::kCheck, Kind::kWatchdog, Kind::kTimeout,
-                       Kind::kException, Kind::kSkipped, Kind::kCrash,
-                       Kind::kDivergence}) {
+                       Kind::kException, Kind::kSkipped, Kind::kDivergence}) {
     if (name == RunFailure::kind_name(k)) return k;
   }
-  PARATICK_CHECK_MSG(false, "replay bundle: unknown failure kind");
+  // Includes "crash": older builds recorded runs whose forked child died
+  // on a signal, and no run executes in a child process any more.
+  PARATICK_CHECK_MSG(
+      false, ("replay bundle: unknown failure kind \"" + name + "\"").c_str());
   std::abort();  // unreachable; keeps -fsanitize=thread builds warning-free
 }
 
@@ -126,9 +128,7 @@ std::string write_replay_bundle(const SweepConfig& cfg, const SweepRun& run,
   const std::string path =
       bundle_dir + metrics::format("/run%llu.json",
                                    static_cast<unsigned long long>(run.run_index));
-  // Atomic write: duplicate executions (dispatcher lease expiry / steal
-  // races) may write the same bundle concurrently; each rename publishes
-  // a complete document, so readers never see a torn file.
+  // Atomic write: a sweep killed mid-write never leaves a torn bundle.
   write_file_atomic(path, to_json(b));
   return path;
 }
@@ -207,15 +207,18 @@ ReplayBundle parse_replay_bundle(const std::string& json_text) {
 
 ReplayBundle load_replay_bundle(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    PARATICK_CHECK_MSG(false, "cannot open replay bundle");
-  }
+  PARATICK_CHECK_MSG(f != nullptr, ("cannot open replay bundle " + path).c_str());
   std::string text;
   char buf[4096];
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
   std::fclose(f);
-  return parse_replay_bundle(text);
+  try {
+    return parse_replay_bundle(text);
+  } catch (const sim::SimError& e) {
+    throw sim::SimError(e.kind(), e.expr(), e.file(), e.line(),
+                        path + ": " + e.msg(), e.sim_time(), e.events_executed());
+  }
 }
 
 SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b) {
@@ -231,17 +234,10 @@ SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b) {
   cfg.run_timeout_sec = 0.0;
   cfg.max_failures = 0;
   // Never clobber the original sweep's artifacts: a replay writes no new
-  // bundles, traces or partial snapshots. (cfg.observer is kept — that is
-  // how bench_replay attaches its trace checker.)
+  // bundles or traces. (cfg.observer is kept — that is how bench_replay
+  // attaches its trace checker.)
   cfg.failure_dir.clear();
-  cfg.partial_path.clear();
   cfg.record_trace = false;
-  // A recorded crash (signal death under the fork backend) would take the
-  // replayer down too if re-executed in-process — rerun it in a forked
-  // child, same as the original sweep did.
-  if (b.failure.kind == RunFailure::Kind::kCrash) {
-    return execute_run_isolated(cfg, b.run_index);
-  }
   SweepRunner runner(std::move(cfg));
   return runner.execute_run(b.run_index);
 }
@@ -275,11 +271,9 @@ bool reproduces(const ReplayBundle& b, const SweepRun& replayed,
          "\", replayed \"" + got.expr + "\"");
     return false;
   }
-  // Timeouts are wall-clock dependent, and crashes are recorded by the
-  // parent process with no simulation context: kind + expression is the
-  // best reproducibility we can claim for either.
+  // Timeouts are wall-clock dependent: kind + expression is the best
+  // reproducibility we can claim for them.
   if (want.kind != RunFailure::Kind::kTimeout &&
-      want.kind != RunFailure::Kind::kCrash &&
       got.sim_time_ns != want.sim_time_ns) {
     note(metrics::format(
         "failure sim time differs: recorded %lldns, replayed %lldns",

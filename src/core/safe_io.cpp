@@ -2,46 +2,12 @@
 
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 
 #include "sim/check.hpp"
 
 namespace paratick::core {
-
-ssize_t read_retry(int fd, void* buf, std::size_t len) {
-  for (;;) {
-    const ssize_t got = ::read(fd, buf, len);
-    if (got >= 0 || errno != EINTR) return got;
-  }
-}
-
-bool write_all(int fd, const void* buf, std::size_t len) {
-  const char* p = static_cast<const char*>(buf);
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t put = ::write(fd, p + off, len - off);
-    if (put < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (put == 0) return false;
-    off += static_cast<std::size_t>(put);
-  }
-  return true;
-}
-
-std::string read_to_eof(int fd) {
-  std::string out;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t got = read_retry(fd, buf, sizeof buf);
-    if (got <= 0) break;
-    out.append(buf, static_cast<std::size_t>(got));
-  }
-  return out;
-}
 
 void write_file_atomic(const std::string& path, const std::string& content) {
   const std::filesystem::path fs_path{path};

@@ -1,39 +1,15 @@
-// Signal-safe pipe I/O and crash-safe file writes.
+// Crash-safe file writes.
 //
-// Two failure modes used to corrupt sweep artifacts:
-//
-//   1. A signal landing mid-read/mid-write on a pipe made the raw
-//      read()/write() return -1/EINTR, which the fork backend treated as
-//      a dead peer — truncating the newline-framed record stream and
-//      converting perfectly good runs into kCrash records.
-//   2. A worker killed between fopen() and fclose() left a truncated
-//      partial snapshot / history snapshot on disk for the merge layer to
-//      choke on.
-//
-// The helpers here close both holes: read_retry/write_all restart on
-// EINTR (and write_all handles short writes), and write_file_atomic
-// stages content in a same-directory temp file and rename()s it into
-// place, so readers only ever observe the old file or the complete new
-// one — never a partial write.
+// A process killed between fopen() and fclose() of a plain write leaves a
+// truncated history snapshot, replay bundle or trace on disk for the next
+// reader to choke on. write_file_atomic stages content in a same-directory
+// temp file and rename()s it into place, so readers only ever observe the
+// old file or the complete new one — never a partial write.
 #pragma once
 
-#include <sys/types.h>
-
-#include <cstddef>
 #include <string>
 
 namespace paratick::core {
-
-/// read(fd) restarted on EINTR. Returns bytes read (0 = EOF) or -1 on a
-/// real error (errno preserved).
-[[nodiscard]] ssize_t read_retry(int fd, void* buf, std::size_t len);
-
-/// Write all `len` bytes, restarting on EINTR and short writes. Returns
-/// false on a real error (e.g. EPIPE after the reader died).
-[[nodiscard]] bool write_all(int fd, const void* buf, std::size_t len);
-
-/// Drain `fd` to EOF into a string, restarting on EINTR.
-[[nodiscard]] std::string read_to_eof(int fd);
 
 /// Crash-safe whole-file write: content goes to "<path>.tmp.<pid>" in the
 /// same directory (so rename stays atomic within one filesystem), is

@@ -1,26 +1,21 @@
 #include "core/sweep.hpp"
 
-#include <unistd.h>
-
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <numeric>
+#include <mutex>
+#include <thread>
 
 #include "core/cli_parse.hpp"
-#include "core/dispatch/dispatch.hpp"
-#include "core/dispatch/protocol.hpp"
-#include "core/dispatch/transport.hpp"
-#include "core/dispatch/worker.hpp"
-#include "core/exec_backend.hpp"
 #include "core/history.hpp"
 #include "core/replay.hpp"
 #include "core/safe_io.hpp"
 #include "core/scenarios.hpp"
 #include "core/sweep_plan.hpp"
-#include "core/sweep_shard.hpp"
+#include "core/thread_pool.hpp"
 #include "metrics/report.hpp"
 #include "sim/check.hpp"
 #include "sim/error.hpp"
@@ -34,52 +29,33 @@ double pct_ratio(double treatment, double baseline) {
   return (treatment / baseline - 1.0) * 100.0;
 }
 
+/// Fail-fast record: the --max-failures budget was already spent when this
+/// run's turn came. Aggregation counts it in replicas_skipped.
+SweepRun skipped_run(const SweepPlan& plan, std::size_t run_index) {
+  const SweepWorkItem w = plan.item(run_index);
+  SweepRun out;
+  out.run_index = w.run_index;
+  out.cell = w.cell;
+  out.replica = w.replica;
+  out.seed = w.seed;
+  out.ok = false;
+  RunFailure f;
+  f.kind = RunFailure::Kind::kSkipped;
+  f.message = "skipped: --max-failures budget spent";
+  out.failure = std::move(f);
+  return out;
+}
+
+void progress_line(const SweepPlan& plan, const SweepRun& run,
+                   std::size_t finished, std::size_t total) {
+  std::fprintf(stderr, "[sweep %zu/%zu] %s r%d seed=%016llx %.2fs%s%s\n",
+               finished, total, plan.cell_keys()[run.cell].label().c_str(),
+               run.replica, static_cast<unsigned long long>(run.seed),
+               run.host_seconds, run.ok ? "" : " FAIL:",
+               run.ok ? "" : RunFailure::kind_name(run.failure->kind));
+}
+
 }  // namespace
-
-std::string resolve_output_path(const std::string& output_dir,
-                                const std::string& path) {
-  if (path.empty() || output_dir.empty() || path.front() == '/') return path;
-  return output_dir + "/" + path;
-}
-
-const char* to_string(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kThread: return "thread";
-    case BackendKind::kFork: return "fork";
-  }
-  return "?";
-}
-
-BackendKind backend_from_string(const std::string& name) {
-  if (name == "thread") return BackendKind::kThread;
-  if (name == "fork") return BackendKind::kFork;
-  PARATICK_CHECK_MSG(
-      false, ("unknown execution backend \"" + name + "\" (thread|fork)").c_str());
-  return BackendKind::kThread;
-}
-
-std::string ShardSpec::label() const {
-  return metrics::format("%u/%u", index, count);
-}
-
-ShardSpec ShardSpec::parse(const std::string& text) {
-  const char* s = text.c_str();
-  char* end = nullptr;
-  const unsigned long k = std::strtoul(s, &end, 10);
-  unsigned long n = 0;
-  if (end != s && *end == '/') {
-    const char* rest = end + 1;
-    n = std::strtoul(rest, &end, 10);
-    if (end == rest || *end != '\0') n = 0;
-  }
-  PARATICK_CHECK_MSG(n >= 1 && k < n,
-                     ("--shard wants K/N with 0 <= K < N, got \"" + text + "\"")
-                         .c_str());
-  ShardSpec spec;
-  spec.index = static_cast<unsigned>(k);
-  spec.count = static_cast<unsigned>(n);
-  return spec;
-}
 
 const char* RunFailure::kind_name(Kind k) {
   switch (k) {
@@ -88,7 +64,6 @@ const char* RunFailure::kind_name(Kind k) {
     case Kind::kTimeout: return "timeout";
     case Kind::kException: return "exception";
     case Kind::kSkipped: return "skipped";
-    case Kind::kCrash: return "crash";
     case Kind::kDivergence: return "divergence";
   }
   return "?";
@@ -105,11 +80,9 @@ std::string SweepCellKey::label() const {
 
 void aggregate_sweep_runs(SweepResult& res) {
   // Fold strictly in run-index order so replica merges are deterministic
-  // for any thread count, backend or shard split. Unexecuted slots (other
-  // hosts' shard slices) are invisible; failed replicas only bump the
-  // degradation counters; every mean/histogram covers survivors only.
+  // for any thread count. Failed replicas only bump the degradation
+  // counters; every mean/histogram covers survivors only.
   for (const SweepRun& r : res.runs) {
-    if (!r.executed) continue;
     SweepCellSummary& cell = res.cells[r.cell];
     if (!r.ok) {
       if (r.failure && r.failure->kind == RunFailure::Kind::kSkipped) {
@@ -177,26 +150,38 @@ SweepResult SweepRunner::run() const {
   SweepResult res;
   res.cells = plan.make_cells();
   res.runs.resize(plan.total_runs());
-  // Stamp every slot's identity up front: even runs this shard never
-  // executes still report which (cell, replica, seed) they stand for.
-  for (std::size_t i = 0; i < res.runs.size(); ++i) {
-    const SweepWorkItem w = plan.item(i);
-    res.runs[i].run_index = w.run_index;
-    res.runs[i].cell = w.cell;
-    res.runs[i].replica = w.replica;
-    res.runs[i].seed = w.seed;
-  }
+  res.threads_used = cfg_.threads == 0
+                         ? std::max(1u, std::thread::hardware_concurrency())
+                         : cfg_.threads;
 
-  const auto backend = make_backend(cfg_);
-  res.backend_name = to_string(cfg_.backend);
-  res.shard = cfg_.shard;
-  res.threads_used = backend->parallelism();
-
-  std::vector<std::size_t> all(res.runs.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
+  std::mutex progress_mu;
+  std::atomic<std::size_t> done{0};
+  std::atomic<std::size_t> failures{0};
+  const std::size_t total = res.runs.size();
 
   const auto sweep_start = std::chrono::steady_clock::now();
-  backend->execute(plan, all, res.runs);
+  parallel_for_index(total, res.threads_used, [&](std::size_t i) {
+    SweepRun& out = res.runs[i];
+    // Fail-fast: once the failure budget is spent, remaining runs become
+    // kSkipped records (which runs get skipped is scheduling-dependent; the
+    // flag trades -j-bit-identity for wall-clock on broken builds).
+    if (cfg_.max_failures > 0 &&
+        failures.load(std::memory_order_relaxed) >= cfg_.max_failures) {
+      out = skipped_run(plan, i);
+      return;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    out = plan.execute(i);
+    out.host_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    if (!out.ok) failures.fetch_add(1, std::memory_order_relaxed);
+    if (cfg_.progress) {
+      const std::size_t finished = done.fetch_add(1) + 1;
+      std::scoped_lock lock(progress_mu);
+      progress_line(plan, out, finished, total);
+    }
+  });
   res.wall_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - sweep_start)
                          .count();
@@ -205,32 +190,16 @@ SweepResult SweepRunner::run() const {
 
   // Replay bundles for real failures, written in run-index order so bundle
   // file names are deterministic.
-  const std::string failure_dir =
-      resolve_output_path(cfg_.output_dir, cfg_.failure_dir);
-  if (!failure_dir.empty()) {
+  if (!cfg_.failure_dir.empty()) {
     for (SweepRun& r : res.runs) {
-      if (!r.executed || r.ok || !r.failure ||
-          r.failure->kind == RunFailure::Kind::kSkipped) {
+      if (r.ok || !r.failure || r.failure->kind == RunFailure::Kind::kSkipped) {
         continue;
       }
-      r.bundle_path = write_replay_bundle(cfg_, r, failure_dir,
+      r.bundle_path = write_replay_bundle(cfg_, r, cfg_.failure_dir,
                                           res.cells[r.cell].key.label());
       if (cfg_.progress) {
         std::fprintf(stderr, "sweep: replay bundle -> %s\n", r.bundle_path.c_str());
       }
-    }
-  }
-
-  // Shard mode: persist this host's slice for sweep_merge. (Also legal
-  // unsharded — a 1-shard partial merges to the full result, which is how
-  // the tests pin the merge path against the direct one.)
-  const std::string partial_path =
-      resolve_output_path(cfg_.output_dir, cfg_.partial_path);
-  if (!partial_path.empty()) {
-    write_partial_snapshot(make_partial_snapshot(cfg_, res), partial_path);
-    if (cfg_.progress) {
-      std::fprintf(stderr, "sweep: shard %s partial snapshot -> %s\n",
-                   cfg_.shard.label().c_str(), partial_path.c_str());
     }
   }
   return res;
@@ -241,14 +210,6 @@ SweepRun SweepRunner::execute_run(std::size_t run_index) const {
   PARATICK_CHECK_MSG(run_index < plan.total_runs(),
                      "execute_run: index out of range");
   return plan.execute(run_index);
-}
-
-std::size_t SweepResult::executed_run_count() const {
-  std::size_t n = 0;
-  for (const auto& r : runs) {
-    if (r.executed) ++n;
-  }
-  return n;
 }
 
 const SweepCellSummary* SweepResult::find(const std::string& variant,
@@ -262,7 +223,7 @@ const SweepCellSummary* SweepResult::find(const std::string& variant,
 std::vector<const SweepRun*> SweepResult::failed_runs() const {
   std::vector<const SweepRun*> out;
   for (const auto& r : runs) {
-    if (r.executed && !r.ok && r.failure &&
+    if (!r.ok && r.failure &&
         r.failure->kind != RunFailure::Kind::kSkipped) {
       out.push_back(&r);
     }
@@ -344,9 +305,8 @@ std::string SweepResult::to_csv() const {
 
 std::string SweepResult::to_json() const {
   // Deliberately no wall_seconds/threads here: the export is a pure
-  // function of the cells, so thread vs fork backends and shard-merged
-  // results produce byte-identical documents (asserted in test_sweep and
-  // the shard-merge-smoke CI job).
+  // function of the cells, so every -j value produces a byte-identical
+  // document (asserted in test_sweep and the CI determinism smoke).
   std::string out = "{\n  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& cell = cells[i];
@@ -435,7 +395,6 @@ namespace {
 /// instead of silently parsing to 0.
 SweepCli parse_sweep_cli(int argc, char** argv) {
   SweepCli cli;
-  cli.raw_args.assign(argv, argv + argc);
   const auto need_value = [&](int& i, const char* flag) -> const char* {
     if (i + 1 >= argc) {
       std::fprintf(stderr, "%s requires a value\n", flag);
@@ -481,30 +440,8 @@ SweepCli parse_sweep_cli(int argc, char** argv) {
       cli.history_dir = need_value(i, "--history-dir");
     } else if (std::strcmp(arg, "--history-tag") == 0) {
       cli.history_tag = need_value(i, "--history-tag");
-    } else if (std::strcmp(arg, "--backend") == 0) {
-      const std::string name = need_value(i, "--backend");
-      if (name == "thread") {
-        cli.backend = BackendKind::kThread;
-      } else if (name == "fork") {
-        cli.backend = BackendKind::kFork;
-      } else {
-        std::fprintf(stderr, "--backend must be thread or fork, got %s\n",
-                     name.c_str());
-        std::exit(2);
-      }
-    } else if (std::strcmp(arg, "--fork-batch") == 0) {
-      cli.fork_batch = static_cast<std::size_t>(
-          parse_u64_flag("--fork-batch", need_value(i, "--fork-batch")));
     } else if (std::strcmp(arg, "--profile") == 0) {
       cli.profile = true;
-    } else if (std::strcmp(arg, "--shard") == 0) {
-      cli.shard = ShardSpec::parse(need_value(i, "--shard"));
-    } else if (std::strcmp(arg, "--partial") == 0) {
-      cli.partial_path = need_value(i, "--partial");
-    } else if (std::strcmp(arg, "--merge") == 0) {
-      cli.merge_paths.emplace_back(need_value(i, "--merge"));
-    } else if (std::strcmp(arg, "--output-dir") == 0) {
-      cli.output_dir = need_value(i, "--output-dir");
     } else if (std::strcmp(arg, "--chaos") == 0) {
       cli.chaos = true;
     } else if (std::strcmp(arg, "--watchdog") == 0) {
@@ -519,39 +456,6 @@ SweepCli parse_sweep_cli(int argc, char** argv) {
     } else if (std::strcmp(arg, "--run-timeout") == 0) {
       cli.run_timeout_sec =
           parse_double_flag("--run-timeout", need_value(i, "--run-timeout"));
-    } else if (std::strcmp(arg, "--dispatch") == 0) {
-      cli.dispatch = true;
-    } else if (std::strcmp(arg, "--workers") == 0) {
-      cli.dispatch_workers = static_cast<unsigned>(
-          parse_u64_flag("--workers", need_value(i, "--workers"), ~0u));
-    } else if (std::strcmp(arg, "--max-retries") == 0) {
-      cli.max_retries = static_cast<std::size_t>(
-          parse_u64_flag("--max-retries", need_value(i, "--max-retries")));
-    } else if (std::strcmp(arg, "--steal") == 0) {
-      cli.steal = true;
-    } else if (std::strcmp(arg, "--no-steal") == 0) {
-      cli.steal = false;
-    } else if (std::strcmp(arg, "--lease") == 0) {
-      cli.lease_sec = parse_double_flag("--lease", need_value(i, "--lease"));
-    } else if (std::strcmp(arg, "--retry-backoff") == 0) {
-      cli.retry_backoff_sec = parse_double_flag(
-          "--retry-backoff", need_value(i, "--retry-backoff"));
-    } else if (std::strcmp(arg, "--heartbeat") == 0) {
-      cli.heartbeat_sec =
-          parse_double_flag("--heartbeat", need_value(i, "--heartbeat"));
-    } else if (std::strcmp(arg, "--dispatch-cmd") == 0) {
-      cli.dispatch_cmd = need_value(i, "--dispatch-cmd");
-    } else if (std::strcmp(arg, "--checkpoint") == 0) {
-      cli.checkpoint_path = need_value(i, "--checkpoint");
-    } else if (std::strcmp(arg, "--dispatch-test-kill") == 0) {
-      cli.dispatch_test_kill = static_cast<std::size_t>(parse_u64_flag(
-          "--dispatch-test-kill", need_value(i, "--dispatch-test-kill")));
-    } else if (std::strcmp(arg, "--skip-corrupt") == 0) {
-      cli.skip_corrupt = true;
-    } else if (std::strcmp(arg, "--worker-slice") == 0) {
-      cli.worker_slice = need_value(i, "--worker-slice");
-    } else if (std::strcmp(arg, "--worker-plan") == 0) {
-      cli.worker_plan = true;
     } else if (std::strncmp(arg, "--fault-", 8) == 0) {
       const std::string knob = arg + 8;
       bool known = false;
@@ -572,18 +476,6 @@ SweepCli parse_sweep_cli(int argc, char** argv) {
     }
   }
   if (cli.repeat < 1) cli.repeat = 1;
-  if (cli.dispatch && (cli.shard.active() || !cli.merge_paths.empty())) {
-    std::fprintf(stderr,
-                 "--dispatch already distributes the sweep; it cannot be "
-                 "combined with --shard or --merge\n");
-    std::exit(2);
-  }
-  if (cli.shard.active() && cli.partial_path.empty()) {
-    std::fprintf(stderr,
-                 "--shard without --partial would throw this shard's work "
-                 "away; pass --partial <file> to keep the mergeable slice\n");
-    std::exit(2);
-  }
   return cli;
 }
 
@@ -599,6 +491,16 @@ SweepCli SweepCli::parse(int argc, char** argv) {
   }
 }
 
+void SweepCli::expect_positionals(std::size_t max) const {
+  for (std::size_t i = 0; i < positional.size(); ++i) {
+    if (i >= max || positional[i].front() == '-') {
+      std::fprintf(stderr, "unrecognized argument: %s\n",
+                   positional[i].c_str());
+      std::exit(2);
+    }
+  }
+}
+
 void SweepCli::apply(SweepConfig& cfg) const {
   cfg.threads = threads;
   cfg.engine_threads = engine_threads;
@@ -607,11 +509,6 @@ void SweepCli::apply(SweepConfig& cfg) const {
   cfg.repeat = repeat;
   cfg.progress = progress;
   if (root_seed) cfg.root_seed = *root_seed;
-  cfg.backend = backend;
-  cfg.fork_batch = fork_batch;
-  cfg.shard = shard;
-  if (!partial_path.empty()) cfg.partial_path = partial_path;
-  if (!output_dir.empty()) cfg.output_dir = output_dir;
   if (chaos) {
     cfg.fault = default_chaos_faults();
     cfg.watchdog = true;  // chaos without invariant checks finds nothing
@@ -626,166 +523,8 @@ void SweepCli::apply(SweepConfig& cfg) const {
   }
 }
 
-namespace {
-
-/// The --dispatch branch of run_sweep: build the transport (forked
-/// workers by default, the relaunch-this-argv command transport when
-/// --dispatch-cmd names a launch template) and supervise the sweep
-/// through the fault-tolerant dispatcher.
-SweepResult run_dispatched(const SweepCli& cli, const SweepConfig& cfg) {
-  dispatch::DispatchOptions opts;
-  opts.workers = cli.dispatch_workers;
-  opts.max_retries = cli.max_retries;
-  opts.steal = cli.steal;
-  opts.lease_sec = cli.lease_sec;
-  opts.retry_backoff_sec = cli.retry_backoff_sec;
-  opts.checkpoint_path =
-      resolve_output_path(cfg.output_dir, cli.checkpoint_path);
-  opts.bench_name = cfg.bench_name;
-  opts.progress = cfg.progress;
-  opts.test_kill_after = cli.dispatch_test_kill;
-
-  const std::string failure_dir =
-      resolve_output_path(cfg.output_dir, cfg.failure_dir);
-  if (!failure_dir.empty()) {
-    // Workers write bundles for runs they complete; this covers runs no
-    // worker ever finished (degraded after --max-retries) so the operator
-    // can still replay the abandoned index locally.
-    auto bundle_cfg = std::make_shared<SweepConfig>(cfg);
-    auto keys = std::make_shared<std::vector<SweepCellKey>>(
-        SweepPlan::make(cfg).cell_keys());
-    opts.bundle_writer = [bundle_cfg, keys, failure_dir](SweepRun& run) {
-      run.bundle_path = write_replay_bundle(*bundle_cfg, run, failure_dir,
-                                            (*keys)[run.cell].label());
-    };
-  }
-
-  dispatch::WorkerOptions wopts;
-  wopts.heartbeat_sec = cli.heartbeat_sec;
-  std::unique_ptr<dispatch::WorkerTransport> transport;
-  if (cli.dispatch_cmd.empty()) {
-    transport = std::make_unique<dispatch::ForkWorkerTransport>(cfg, wopts);
-  } else {
-    transport = std::make_unique<dispatch::CommandWorkerTransport>(
-        cli.raw_args, cli.dispatch_cmd);
-  }
-
-  dispatch::SweepDispatcher dispatcher(std::move(transport), std::move(opts));
-  SweepResult res = dispatcher.run();
-  const auto& st = dispatcher.stats();
-  if (cfg.progress) {
-    std::fprintf(stderr,
-                 "dispatch: %zu records from %zu workers (%zu died, %zu "
-                 "leases expired, %zu steals, %zu retries, %zu duplicates, "
-                 "%zu resumed, %zu degraded)\n",
-                 st.records_received, st.workers_launched, st.workers_died,
-                 st.leases_expired, st.steals, st.retries,
-                 st.duplicate_records, st.runs_resumed, st.runs_degraded);
-  }
-  return res;
-}
-
-}  // namespace
-
 SweepResult SweepCli::run_sweep(SweepConfig cfg) const {
-  // Hidden worker modes come first: the dispatcher appends these flags to
-  // a relaunched argv, so they must win over whatever mode flags (e.g.
-  // --dispatch itself) rode along in the original command line.
-  if (worker_plan) {
-    std::printf("#plan %s\n",
-                dispatch::to_json(dispatch::plan_info_for(cfg)).c_str());
-    std::exit(0);
-  }
-  if (!worker_slice.empty()) {
-    try {
-      dispatch::WorkerOptions wopts;
-      wopts.heartbeat_sec = heartbeat_sec;
-      std::exit(dispatch::run_worker_slice(cfg,
-                                           dispatch::decode_slice(worker_slice),
-                                           STDOUT_FILENO, STDIN_FILENO, wopts));
-    } catch (const sim::SimError& e) {
-      std::fprintf(stderr, "%s\n", e.msg().c_str());
-      std::exit(2);
-    }
-  }
-  if (dispatch) {
-    // Coordinator-level faults (broken worker command, fleet config skew)
-    // are environment errors, not bugs: clean CLI failure.
-    try {
-      return run_dispatched(*this, cfg);
-    } catch (const sim::SimError& e) {
-      std::fprintf(stderr, "%s\n", e.msg().c_str());
-      std::exit(1);
-    }
-  }
-  if (merge_paths.empty()) return SweepRunner(std::move(cfg)).run();
-
-  // --merge: no execution; fold the named partial snapshots, after checking
-  // they actually belong to the sweep this binary would have run. Merge
-  // errors are user errors (wrong file, wrong flags), not bugs — report
-  // them as a clean CLI failure instead of an unhandled CHECK.
-  try {
-    return merge_as_configured(std::move(cfg));
-  } catch (const sim::SimError& e) {
-    std::fprintf(stderr, "%s\n", e.msg().c_str());
-    std::exit(1);
-  }
-}
-
-SweepResult SweepCli::merge_as_configured(SweepConfig cfg) const {
-  std::vector<PartialSnapshot> partials;
-  partials.reserve(merge_paths.size());
-  for (const auto& path : merge_paths) {
-    const std::string full = resolve_output_path(cfg.output_dir, path);
-    if (!skip_corrupt) {
-      partials.push_back(load_partial_snapshot(full));
-      continue;
-    }
-    // --skip-corrupt: a lost shard degrades its cells instead of sinking
-    // the whole fleet's merge. The error (with file and byte offset) is
-    // still reported so the operator knows what to regenerate.
-    try {
-      partials.push_back(load_partial_snapshot(full));
-    } catch (const sim::SimError& e) {
-      std::fprintf(stderr, "sweep: --skip-corrupt: dropping %s\n",
-                   e.msg().c_str());
-    }
-  }
-  PARATICK_CHECK_MSG(!partials.empty(),
-                     "--merge: no readable partial snapshots "
-                     "(every file was dropped by --skip-corrupt)");
-
-  const SweepPlan plan = SweepPlan::make(cfg);
-  const PartialSnapshot& ref = partials.front();
-  const auto mismatch = [&](const char* what) {
-    const std::string msg =
-        std::string("--merge: partial snapshots were produced by a different "
-                    "sweep than this invocation (mismatched ") +
-        what + ") — pass the same --seed/--repeat and grid flags the shards ran with";
-    PARATICK_CHECK_MSG(false, msg.c_str());
-  };
-  if (ref.root_seed != cfg.root_seed) mismatch("root seed");
-  if (ref.repeat != cfg.repeat) mismatch("repeat count");
-  if (ref.total_runs != plan.total_runs()) mismatch("run count");
-  const auto& keys = plan.cell_keys();
-  if (ref.cells.size() != keys.size()) mismatch("cell grid");
-  for (std::size_t c = 0; c < keys.size(); ++c) {
-    const SweepCellKey& a = keys[c];
-    const SweepCellKey& b = ref.cells[c];
-    if (a.variant != b.variant || a.mode != b.mode ||
-        a.tick_freq_hz != b.tick_freq_hz || a.vcpus != b.vcpus ||
-        a.overcommit != b.overcommit) {
-      mismatch("cell grid");
-    }
-  }
-
-  SweepResult res = merge_partial_snapshots(partials, skip_corrupt);
-  if (progress) {
-    std::fprintf(stderr, "sweep: merged %zu partial snapshot%s (%zu runs)\n",
-                 partials.size(), partials.size() == 1 ? "" : "s",
-                 res.runs.size());
-  }
-  return res;
+  return SweepRunner(std::move(cfg)).run();
 }
 
 void SweepCli::export_results(const SweepResult& result,
@@ -793,17 +532,15 @@ void SweepCli::export_results(const SweepResult& result,
   if (!sweep_csv.empty()) result.write_csv(sweep_csv);
   if (!sweep_json.empty()) result.write_json(sweep_json);
   if (progress && (!sweep_csv.empty() || !sweep_json.empty())) {
-    std::fprintf(stderr, "sweep: %zu runs in %.2fs on %u %s workers%s%s%s%s\n",
-                 result.executed_run_count(), result.wall_seconds,
-                 result.threads_used, result.backend_name.c_str(),
+    std::fprintf(stderr, "sweep: %zu runs in %.2fs on %u thread workers%s%s%s%s\n",
+                 result.runs.size(), result.wall_seconds, result.threads_used,
                  sweep_csv.empty() ? "" : ", csv -> ",
                  sweep_csv.c_str(),
                  sweep_json.empty() ? "" : ", json -> ",
                  sweep_json.c_str());
   }
   if (profile) {
-    // Engine self-profile, aggregated over every executed run. Works for
-    // merged results too — the counters ride in the run records. Only
+    // Engine self-profile, aggregated over every successful run. Only
     // events/sec depends on host wall time; everything above it is
     // deterministic and doubles as a "zero spills" acceptance check.
     std::uint64_t events = 0, scheduled = 0, cancelled = 0;
@@ -812,7 +549,7 @@ void SweepCli::export_results(const SweepResult& result,
     std::uint64_t par_windows = 0, par_skipped = 0, par_elided = 0;
     std::uint64_t par_horizon_ns = 0;
     for (const auto& run : result.runs) {
-      if (!run.executed || !run.ok) continue;
+      if (!run.ok) continue;
       events += run.result.events_executed;
       scheduled += run.result.events_scheduled;
       cancelled += run.result.events_cancelled;
@@ -828,7 +565,7 @@ void SweepCli::export_results(const SweepResult& result,
         par_horizon_ns = run.result.par_horizon_max_ns;
       wall_ns += run.result.engine_wall_ns;
     }
-    std::printf("engine profile (%zu runs)\n", result.executed_run_count());
+    std::printf("engine profile (%zu runs)\n", result.runs.size());
     std::printf("  events executed      %20llu\n",
                 static_cast<unsigned long long>(events));
     std::printf("  events scheduled     %20llu\n",

@@ -1,26 +1,21 @@
-// Deterministic sweep pipeline: plan -> execute -> merge.
+// Deterministic sweep pipeline: plan -> execute -> aggregate.
 //
 // Every table and figure of the paper is an A/B sweep over tick modes,
 // tick frequencies, vCPU counts, overcommit ratios and seed replicas.
-// The pipeline is split into three decoupled layers:
+// The pipeline has three steps:
 //
 //   1. planning (core/sweep_plan.hpp): pure expansion of the grid into
-//      (cell, run_index, seed) work items, sliceable into shards;
-//   2. execution (core/exec_backend.hpp): pluggable backends — in-process
-//      thread pool, forked child processes with hard crash isolation, and
-//      a shard slicer for multi-host runs;
-//   3. merge (core/sweep_shard.hpp + aggregate_sweep_runs below): fold
-//      executed runs — local or loaded from partial snapshots written by
-//      other hosts — into per-cell summaries via Accumulator::merge.
-//
-// SweepRunner wires the three together behind the same API the benches
-// always used.
+//      (cell, run_index, seed) work items;
+//   2. execution (SweepRunner::run): the runs fan out over an in-process
+//      thread pool (-j N); a SimError or exception inside one run becomes
+//      that run's failure record instead of ending the sweep;
+//   3. aggregation (aggregate_sweep_runs below): fold the runs into
+//      per-cell summaries via Accumulator::merge.
 //
 // Determinism guarantee: each run's seed is a pure function of
 // (root_seed, run_index) — derived with a splitmix64 jump, never from the
 // schedule — and aggregation happens in run-index order after all runs
-// finish. Results are therefore bit-identical for any `-j` value, any
-// backend, and any shard split.
+// finish. Results are therefore bit-identical for any `-j` value.
 #pragma once
 
 #include <cstdint>
@@ -37,39 +32,6 @@
 #include "sim/stats.hpp"
 
 namespace paratick::core {
-
-/// Resolve a sweep file output against an output directory: relative
-/// paths land under it instead of whatever CWD the (possibly forked /
-/// sharded) process happens to have. Absolute paths pass through.
-[[nodiscard]] std::string resolve_output_path(const std::string& output_dir,
-                                              const std::string& path);
-
-/// Which execution substrate runs the planned work items.
-enum class BackendKind : std::uint8_t {
-  kThread,  // in-process worker pool (crash isolation via try/catch only)
-  kFork,    // one forked child per run: survives segfaults and abort()
-};
-
-[[nodiscard]] const char* to_string(BackendKind kind);
-/// "thread" / "fork" -> kind; PARATICK_CHECKs on anything else.
-[[nodiscard]] BackendKind backend_from_string(const std::string& name);
-
-/// One host's slice of the run-index space: shard k of N executes the
-/// indices with `run_index % count == index` (round-robin keeps replica
-/// load balanced across hosts whatever the grid shape). count == 1 means
-/// "the whole sweep".
-struct ShardSpec {
-  unsigned index = 0;
-  unsigned count = 1;
-
-  [[nodiscard]] bool active() const { return count > 1; }
-  [[nodiscard]] bool owns(std::size_t run_index) const {
-    return count <= 1 || run_index % count == index;
-  }
-  [[nodiscard]] std::string label() const;  // "K/N"
-  /// Parse "K/N" with 0 <= K < N. PARATICK_CHECKs on malformed input.
-  [[nodiscard]] static ShardSpec parse(const std::string& text);
-};
 
 /// A named point on the workload axis of a sweep: mutates the base
 /// ExperimentSpec (install a different workload, resize the machine, ...).
@@ -110,27 +72,6 @@ struct SweepConfig {
   std::uint64_t max_horizon_windows = 64;
   bool progress = false;                 // per-run timing lines on stderr
 
-  /// Execution backend (--backend thread|fork). Results are bit-identical
-  /// either way; fork additionally survives children that segfault or
-  /// abort() — such replicas are recorded as failed instead of taking the
-  /// sweep down.
-  BackendKind backend = BackendKind::kThread;
-  /// Fork backend only: runs per forked child (--fork-batch N). Children
-  /// stream one record per completed run, so results and replay bundles
-  /// are unchanged; only crash-isolation granularity grows with N. 0 =
-  /// auto-size from the plan length (a few batches per worker).
-  std::size_t fork_batch = 0;
-  /// Multi-host sharding (--shard K/N): execute only this host's slice of
-  /// the run-index space. Foreign runs stay unexecuted; export the partial
-  /// snapshot (partial_path) and fold the shards with sweep_merge.
-  ShardSpec shard;
-  /// Shard mode: where to write the mergeable partial snapshot (JSON).
-  std::string partial_path;
-  /// Base directory for the sweep's file outputs: relative failure_dir
-  /// and partial_path resolve against it (not the CWD), so forked or
-  /// sharded children never scatter artifacts. Empty = CWD as before.
-  std::string output_dir;
-
   /// Chaos injection: applied to every run when any rate is nonzero. The
   /// per-run fault plan seed is derived purely from (root_seed, run_index),
   /// so chaos sweeps stay bit-identical at any -j.
@@ -166,7 +107,7 @@ struct SweepConfig {
   /// default. Feed it EngineProfile::events_executed from a prior run.
   std::uint64_t trace_reserve_events = 0;
   /// Attach an external engine observer to every run (replay checking).
-  /// Single-run use only (execute_run): parallel backends would share it
+  /// Single-run use only (execute_run): the thread pool would share it
   /// across concurrent engines. Ignored when record_trace is set.
   sim::EventObserver* observer = nullptr;
 };
@@ -190,7 +131,6 @@ struct RunFailure {
     kTimeout,    // per-run wall-clock budget exceeded (SimError)
     kException,  // any other std::exception
     kSkipped,    // not executed: the --max-failures budget was spent
-    kCrash,      // forked child died on a signal (segfault, abort, ...)
     kDivergence, // a replayed run stopped matching its recorded trace
   };
   Kind kind = Kind::kException;
@@ -210,12 +150,9 @@ struct SweepRun {
   std::size_t run_index = 0;
   int replica = 0;
   std::uint64_t seed = 0;
-  /// False for runs a sharded sweep left to other hosts; such slots carry
-  /// only their identity and are skipped by aggregation and exports.
-  bool executed = false;
   bool ok = false;
-  metrics::RunResult result;             // valid only when executed && ok
-  std::optional<RunFailure> failure;     // set when executed && !ok
+  metrics::RunResult result;             // valid only when ok
+  std::optional<RunFailure> failure;     // set when !ok
   std::string bundle_path;               // replay bundle, when one was written
   std::string trace_path;                // event trace, when one was written
   double host_seconds = 0.0;  // wall-clock cost of this run
@@ -274,11 +211,6 @@ struct SweepResult {
   std::vector<SweepRun> runs;           // run-index order (deterministic)
   double wall_seconds = 0.0;
   unsigned threads_used = 1;
-  std::string backend_name = "thread";  // which ExecBackend ran the sweep
-  ShardSpec shard;                      // active when this is a partial result
-
-  /// Runs actually executed here (== runs.size() unless sharded).
-  [[nodiscard]] std::size_t executed_run_count() const;
 
   /// First cell matching variant + mode (for single-freq/vcpu sweeps).
   [[nodiscard]] const SweepCellSummary* find(const std::string& variant,
@@ -301,7 +233,7 @@ struct SweepResult {
   [[nodiscard]] sim::Accumulator metric_over_runs(std::size_t cell, F&& f) const {
     sim::Accumulator acc;
     for (const auto& r : runs) {
-      if (r.executed && r.cell == cell) acc.add(static_cast<double>(f(r.result)));
+      if (r.cell == cell) acc.add(static_cast<double>(f(r.result)));
     }
     return acc;
   }
@@ -312,7 +244,7 @@ struct SweepResult {
   [[nodiscard]] auto merged_over_runs(std::size_t cell, F&& f) const {
     std::decay_t<decltype(f(runs.front().result))> out{};
     for (const auto& r : runs) {
-      if (r.executed && r.cell == cell) out.merge(f(r.result));
+      if (r.cell == cell) out.merge(f(r.result));
     }
     return out;
   }
@@ -325,19 +257,16 @@ struct SweepResult {
                                             guest::TickMode treatment) const;
 
   /// One row per cell: key columns + mean/stddev of each metric. Both
-  /// exports are pure functions of the cells, so thread/fork backends and
-  /// shard-merged results produce byte-identical files.
+  /// exports are pure functions of the cells, so every -j value produces
+  /// byte-identical files.
   [[nodiscard]] std::string to_csv() const;
   [[nodiscard]] std::string to_json() const;
   void write_csv(const std::string& path) const;
   void write_json(const std::string& path) const;
 };
 
-/// The merge layer's core: fold res.runs into res.cells, strictly in
-/// run-index order. res.cells must already carry their keys with all
-/// aggregates empty. Used identically by SweepRunner::run() after local
-/// execution and by merge_partial_snapshots() on shard outputs — one code
-/// path is what makes merged results bit-identical to single-host runs.
+/// Fold res.runs into res.cells, strictly in run-index order. res.cells
+/// must already carry their keys with all aggregates empty.
 void aggregate_sweep_runs(SweepResult& res);
 
 class SweepRunner {
@@ -347,9 +276,8 @@ class SweepRunner {
   [[nodiscard]] std::size_t cell_count() const;
   [[nodiscard]] std::size_t total_runs() const;
 
-  /// Plan the grid, execute it on the configured backend (this host's
-  /// shard only when cfg.shard is active, writing the partial snapshot to
-  /// cfg.partial_path), and aggregate. Reusable.
+  /// Plan the grid, execute every run on cfg.threads pool threads in
+  /// run-index order, and aggregate. Reusable.
   [[nodiscard]] SweepResult run() const;
 
   /// Execute exactly one run of the grid by index — the replay primitive:
@@ -381,15 +309,8 @@ class SweepRunner {
 ///                     (tag defaults to the current git commit; see
 ///                     core/history.hpp and the bench_diff gate)
 ///   --history-tag T   override the snapshot tag
-///   --backend B       execution backend: thread (default) or fork
-///   --fork-batch N    fork backend: runs per child (default: auto-sized)
 ///   --profile         print the engine hot-path profile (events/sec,
 ///                     callback spills, slot high-water, compactions)
-///   --shard K/N       execute only shard K of N (with --partial)
-///   --partial P       shard mode: write the mergeable partial snapshot to P
-///   --merge P         (repeatable) skip execution; merge partial snapshots
-///                     instead and render/export the merged result
-///   --output-dir D    resolve relative failure/partial paths against D
 ///   --quiet           suppress per-run progress lines
 ///   --chaos           enable the default chaos fault mix + watchdog
 ///   --watchdog        enable only the invariant watchdog
@@ -401,34 +322,9 @@ class SweepRunner {
 ///   --run-timeout S   per-run wall-clock timeout in seconds
 ///   --fault-<knob> X  override one fault rate (see chaos docs), e.g.
 ///                     --fault-timer-drop 0.02 --fault-steal 0.05
-/// Distributed dispatch (core/dispatch, see DESIGN.md):
-///   --dispatch        supervise the sweep through the fault-tolerant
-///                     dispatcher instead of a local backend: worker
-///                     subprocesses with lease-based slice ownership,
-///                     crash retry with backoff, work stealing, and
-///                     graceful degradation after --max-retries
-///   --workers N       dispatcher worker slots (default 2)
-///   --max-retries N   failed attempts allowed per run before its cell
-///                     degrades (default 2); the sweep still exits 0
-///   --steal / --no-steal  work stealing on idle slots (default on)
-///   --lease S         kill workers silent for S seconds (default 30)
-///   --retry-backoff S base of the exponential retry backoff (default .25)
-///   --heartbeat S     worker heartbeat period (default 0.5)
-///   --dispatch-cmd T  launch workers through a shell template instead of
-///                     fork(): T with "{cmd}" replaced by the quoted
-///                     worker command, e.g. "ssh -T host2 {cmd}"
-///   --checkpoint P    crash-safe dispatcher progress snapshot: written
-///                     atomically as records arrive, resumed from on
-///                     restart (only missing runs re-execute)
-///   --skip-corrupt    --merge: drop unreadable partial snapshots and
-///                     degrade their cells instead of aborting the merge
-/// Hidden (appended by the dispatcher when relaunching this binary):
-///   --worker-slice SPEC   execute run indices "0-5,9" as a protocol
-///                         worker (streams records on stdout, exits)
-///   --worker-plan         print the #plan identity header and exit
-///   --dispatch-test-kill N  test hook: SIGKILL the worker that delivered
-///                         the Nth record
-/// Unrecognized arguments are collected as positionals.
+/// Unrecognized arguments are collected as positionals; a driver that
+/// reads none calls expect_positionals(0) so a mistyped or removed flag
+/// fails loudly instead of being ignored.
 struct SweepCli {
   unsigned threads = 0;
   unsigned engine_threads = 1;
@@ -442,13 +338,7 @@ struct SweepCli {
   std::string sweep_json;
   std::string history_dir;
   std::string history_tag;
-  BackendKind backend = BackendKind::kThread;
-  std::size_t fork_batch = 0;
   bool profile = false;
-  ShardSpec shard;
-  std::string partial_path;
-  std::vector<std::string> merge_paths;
-  std::string output_dir;
   bool chaos = false;
   bool watchdog = false;
   std::string failure_dir;
@@ -458,40 +348,20 @@ struct SweepCli {
   /// (--fault-<knob>, value) pairs in CLI order; applied over --chaos
   /// defaults so individual rates can be overridden.
   std::vector<std::pair<std::string, double>> fault_overrides;
-  // Distributed dispatch (core/dispatch).
-  bool dispatch = false;
-  unsigned dispatch_workers = 2;
-  std::size_t max_retries = 2;
-  bool steal = true;
-  double lease_sec = 30.0;
-  double retry_backoff_sec = 0.25;
-  double heartbeat_sec = 0.5;
-  std::string dispatch_cmd;        // worker launch template; "" = fork()
-  std::string checkpoint_path;
-  std::size_t dispatch_test_kill = 0;
-  bool skip_corrupt = false;
-  std::string worker_slice;        // hidden worker mode (run these indices)
-  bool worker_plan = false;        // hidden worker mode (print plan header)
-  /// The full argv this CLI was parsed from: what a command transport
-  /// relaunches (with the hidden worker flags appended) on other hosts.
-  std::vector<std::string> raw_args;
   std::vector<std::string> positional;
 
   [[nodiscard]] static SweepCli parse(int argc, char** argv);
 
+  /// Exit 2, naming the argument, when more than `max` positionals are
+  /// left or any of them looks like a flag ("-..."): nothing parsed it.
+  void expect_positionals(std::size_t max) const;
+
   /// Copy the flags onto a config (root_seed only if given on the CLI).
   void apply(SweepConfig& cfg) const;
 
-  /// The one-call driver entry point: with --merge, load and fold the
-  /// named partial snapshots (validated against cfg's grid identity);
-  /// otherwise plan + execute cfg on its backend. Either way the returned
-  /// result feeds the bench's normal table rendering and exports.
+  /// The one-call driver entry point: plan, execute and aggregate cfg.
+  /// The returned result feeds the bench's table rendering and exports.
   [[nodiscard]] SweepResult run_sweep(SweepConfig cfg) const;
-
-  /// The --merge branch of run_sweep, throwing sim::SimError on invalid
-  /// or mismatched partials (run_sweep turns that into a clean CLI exit;
-  /// tests call this directly to assert on the error).
-  [[nodiscard]] SweepResult merge_as_configured(SweepConfig cfg) const;
 
   /// Honor --sweep-csv/--sweep-json/--history-dir if present. The bench
   /// name becomes the history subdirectory; benches that never pass one

@@ -54,9 +54,6 @@ SweepPlan SweepPlan::make(SweepConfig cfg) {
                         : std::vector<double>{cfg.base.guest_tick_freq.hertz()};
   g.vcpus = g.vcpu_axis ? cfg.vcpu_counts : std::vector<int>{cfg.base.vcpus};
   g.overcommit = g.oc_axis ? cfg.overcommit : std::vector<double>{0.0};
-  if (cfg.shard.count == 0) cfg.shard.count = 1;
-  PARATICK_CHECK_MSG(cfg.shard.index < cfg.shard.count,
-                     "shard index must be < shard count");
   plan.cfg_ = std::move(cfg);
 
   // Cell expansion order is the public contract: variants, then modes, then
@@ -97,16 +94,6 @@ SweepWorkItem SweepPlan::item(std::size_t run_index) const {
   return w;
 }
 
-std::vector<std::size_t> SweepPlan::shard_indices(const ShardSpec& shard) const {
-  std::vector<std::size_t> out;
-  const std::size_t n = total_runs();
-  out.reserve(shard.active() ? n / shard.count + 1 : n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (shard.owns(i)) out.push_back(i);
-  }
-  return out;
-}
-
 ExperimentSpec SweepPlan::spec_for_cell(std::size_t cell) const {
   const Grid& g = grid_;
   // Decompose the cell index along the axes, innermost (overcommit) first —
@@ -130,7 +117,6 @@ SweepRun SweepPlan::execute(std::size_t run_index) const {
   out.cell = w.cell;
   out.replica = w.replica;
   out.seed = w.seed;
-  out.executed = true;
 
   const std::size_t mode_i =
       out.cell / grid_.overcommit.size() / grid_.vcpus.size() /
@@ -138,7 +124,7 @@ SweepRun SweepPlan::execute(std::size_t run_index) const {
 
   ExperimentSpec spec = spec_for_cell(out.cell);
   // Seeds depend only on (root_seed, run index): bit-identical results
-  // for any thread count, schedule, backend or shard split.
+  // for any thread count or schedule.
   spec.guest_seed = w.seed;
   spec.host.seed = derive_seed(w.seed, 0x686f7374);  // independent host stream
   if (cfg_.fault.any()) spec.fault = cfg_.fault;
@@ -149,9 +135,7 @@ SweepRun SweepPlan::execute(std::size_t run_index) const {
   }
   if (cfg_.run_timeout_sec > 0.0) spec.wall_limit_sec = cfg_.run_timeout_sec;
 
-  // Trace recording hooks the run's own engine, so every backend — thread
-  // pool and forked children alike — produces its trace in-process; forked
-  // children write the file themselves and ship the path over the pipe.
+  // Trace recording hooks the run's own engine.
   record_replay::TraceRecorder recorder(cfg_.trace_reserve_events);
   if (cfg_.record_trace) {
     spec.observer = &recorder;
@@ -187,15 +171,12 @@ SweepRun SweepPlan::execute(std::size_t run_index) const {
   }
 
   // Persist failed runs' traces next to where their replay bundles go:
-  // <failure_dir>/<bench>/run<idx>.trace. Written here (not by the parent
-  // sweep loop) so crash-isolated forked children produce them too.
+  // <failure_dir>/<bench>/run<idx>.trace.
   if (cfg_.record_trace && !out.ok && !cfg_.failure_dir.empty()) {
-    const std::string dir =
-        resolve_output_path(cfg_.output_dir, cfg_.failure_dir);
     const std::string name = cfg_.bench_name.empty() ? "sweep" : cfg_.bench_name;
     out.trace_path = record_replay::write_trace_file(
         recorder.trace(),
-        dir + "/" + name +
+        cfg_.failure_dir + "/" + name +
             metrics::format("/run%llu.trace",
                             static_cast<unsigned long long>(out.run_index)));
   }

@@ -52,8 +52,8 @@ struct RunResult {
   fault::FaultStats faults;  // all-zero when no injector was attached
 
   // Engine hot-path self-profile (sim::EngineProfile). Everything here is
-  // a pure function of the workload — bit-identical across -j values,
-  // backends and machines — except engine_wall_ns, which is host
+  // a pure function of the workload — bit-identical across -j values
+  // and machines — except engine_wall_ns, which is host
   // wall-clock and must stay out of deterministic exports.
   std::uint64_t events_scheduled = 0;
   std::uint64_t events_cancelled = 0;

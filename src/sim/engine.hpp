@@ -14,7 +14,7 @@ namespace paratick::sim {
 
 /// Hot-path self-profile of one Engine. All counters except wall_ns are
 /// pure functions of the simulated workload (bit-identical across runs,
-/// machines and backends); wall_ns is host wall-clock spent inside
+/// machines and thread counts); wall_ns is host wall-clock spent inside
 /// run()/run_until() and is reporting-only.
 struct EngineProfile {
   std::uint64_t events_executed = 0;

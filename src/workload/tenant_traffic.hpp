@@ -9,7 +9,7 @@
 //
 // Determinism: flash-crowd placement is pure in `spec.seed`, and each
 // worker draws inter-arrivals from its own task rng, so a tenant's
-// traffic is identical across tick modes, backends and engine threads.
+// traffic is identical across tick modes, -j values and engine threads.
 #pragma once
 
 #include <cstdint>

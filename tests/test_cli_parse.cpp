@@ -65,11 +65,11 @@ TEST(ParseU64Flag, RejectsOutOfRange) {
 
 TEST(ParseU64Flag, ErrorNamesTheFlagAndTheOffendingText) {
   try {
-    (void)parse_u64_flag("--fork-batch", "nope");
+    (void)parse_u64_flag("--max-failures", "nope");
     FAIL() << "expected SimError";
   } catch (const sim::SimError& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("--fork-batch"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--max-failures"), std::string::npos) << msg;
     EXPECT_NE(msg.find("\"nope\""), std::string::npos) << msg;
   }
 }
@@ -162,38 +162,40 @@ TEST(SweepCliParse, AcceptsValidNumericFlags) {
   EXPECT_EQ(cli.positional[0], "extra");
 }
 
-TEST(SweepCliParse, AcceptsDispatchFlags) {
-  Argv a({"--dispatch", "--workers", "3", "--max-retries", "5", "--no-steal",
-          "--lease", "2.5", "--retry-backoff", "0.125", "--heartbeat", "0.2",
-          "--checkpoint", "ckpt.json", "--dispatch-cmd", "ssh -T n{cmd}",
-          "--skip-corrupt"});
-  const SweepCli cli = SweepCli::parse(a.argc(), a.argv());
-  EXPECT_TRUE(cli.dispatch);
-  EXPECT_EQ(cli.dispatch_workers, 3u);
-  EXPECT_EQ(cli.max_retries, 5u);
-  EXPECT_FALSE(cli.steal);
-  EXPECT_DOUBLE_EQ(cli.lease_sec, 2.5);
-  EXPECT_DOUBLE_EQ(cli.retry_backoff_sec, 0.125);
-  EXPECT_DOUBLE_EQ(cli.heartbeat_sec, 0.2);
-  EXPECT_EQ(cli.checkpoint_path, "ckpt.json");
-  EXPECT_EQ(cli.dispatch_cmd, "ssh -T n{cmd}");
-  EXPECT_TRUE(cli.skip_corrupt);
-  // The dispatcher relaunches workers from the original argv; parse must
-  // have kept a verbatim copy.
-  ASSERT_EQ(cli.raw_args.size(), static_cast<std::size_t>(a.argc()));
-  EXPECT_EQ(cli.raw_args[1], "--dispatch");
+TEST(SweepCliParse, RemovedExecutionFlagsExitWithCode2) {
+  // Flags of the deleted fork, shard/merge and dispatch paths land in the
+  // positional residue; a driver that reads no positionals must reject
+  // them instead of silently running the whole grid and exiting 0.
+  const std::vector<std::vector<std::string>> removed = {
+      {"--backend", "fork"},
+      {"--shard", "0/2", "--partial", "p.json"},
+      {"--merge", "x"},
+      {"--dispatch"},
+  };
+  for (const auto& args : removed) {
+    Argv a(args);
+    const SweepCli cli = SweepCli::parse(a.argc(), a.argv());
+    EXPECT_EXIT(cli.expect_positionals(0), ::testing::ExitedWithCode(2),
+                "unrecognized argument: " + args.front())
+        << "args: " << args.front();
+  }
 }
 
-TEST(SweepCliParse, DispatchCannotCombineWithShardOrMerge) {
+TEST(SweepCliParse, ExpectPositionalsKeepsNamesAndRejectsLeftoverFlags) {
   {
-    Argv a({"--dispatch", "--shard", "0/2"});
-    EXPECT_EXIT((void)SweepCli::parse(a.argc(), a.argv()),
-                ::testing::ExitedWithCode(2), "cannot be combined");
+    Argv a({"-j2", "small"});
+    const SweepCli cli = SweepCli::parse(a.argc(), a.argv());
+    cli.expect_positionals(1);  // a name within the bound: returns
+    ASSERT_EQ(cli.positional.size(), 1u);
+    EXPECT_EQ(cli.positional[0], "small");
+    EXPECT_EXIT(cli.expect_positionals(0), ::testing::ExitedWithCode(2),
+                "unrecognized argument: small");
   }
   {
-    Argv a({"--dispatch", "--merge", "p0.json"});
-    EXPECT_EXIT((void)SweepCli::parse(a.argc(), a.argv()),
-                ::testing::ExitedWithCode(2), "cannot be combined");
+    Argv a({"small", "--shard"});
+    const SweepCli cli = SweepCli::parse(a.argc(), a.argv());
+    EXPECT_EXIT(cli.expect_positionals(2), ::testing::ExitedWithCode(2),
+                "unrecognized argument: --shard");
   }
 }
 
@@ -210,17 +212,9 @@ TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
       {{"--repeat", "-2"}, "non-negative"},
       {{"--seed", "0xzz"}, "not a valid integer"},
       {{"--seed", "99999999999999999999999"}, "out of range"},
-      {{"--fork-batch", "1.5"}, "not a valid integer"},
       {{"--max-failures", ""}, "empty value"},
       {{"--run-timeout", "fast"}, "not a valid number"},
       {{"--fault-timer-drop", "-0.5"}, "negative"},
-      {{"--shard", "banana"}, "shard"},
-      {{"--workers", "many"}, "not a valid integer"},
-      {{"--max-retries", "-1"}, "non-negative"},
-      {{"--lease", "fast"}, "not a valid number"},
-      {{"--retry-backoff", "0.1s"}, "not a valid number"},
-      {{"--heartbeat", ""}, "empty value"},
-      {{"--dispatch-test-kill", "2.5"}, "not a valid integer"},
       {{"--lookahead-mode", "sideways"}, "expected one of global topology"},
       {{"--lookahead-mode", "topo"}, "expected one of"},
       {{"--max-horizon-windows", "lots"}, "not a valid integer"},

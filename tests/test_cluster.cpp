@@ -246,16 +246,6 @@ TEST(ClusterSweep, WorkerThreadCountLeavesExportsByteIdentical) {
   EXPECT_EQ(serial.to_csv(), parallel.to_csv());
 }
 
-TEST(ClusterSweep, ForkBackendLeavesExportsByteIdentical) {
-  SweepConfig thread_cfg = cluster_sweep(2);
-  SweepConfig fork_cfg = cluster_sweep(2);
-  fork_cfg.backend = BackendKind::kFork;
-  const SweepResult a = SweepRunner(std::move(thread_cfg)).run();
-  const SweepResult b = SweepRunner(std::move(fork_cfg)).run();
-  EXPECT_EQ(b.backend_name, "fork");
-  EXPECT_EQ(a.to_csv(), b.to_csv());
-}
-
 TEST(Cluster, RejectsNonsenseSpecs) {
   ClusterSpec bad = tenant_cluster(2, 2, 1);
   bad.hosts = 0;

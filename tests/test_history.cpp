@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "core/history.hpp"
+#include "core/safe_io.hpp"
 #include "core/sweep.hpp"
 #include "sim/error.hpp"
 
@@ -44,7 +49,7 @@ TEST(History, JsonRoundTripsThroughParser) {
 
   // Host artifacts (wall time, thread count) are deliberately absent from
   // the export — the JSON must be a pure function of the cells so that
-  // thread/fork/shard-merged sweeps stay byte-identical. The parser
+  // every -j value produces byte-identical snapshots. The parser
   // tolerates their absence with zero fallbacks.
   EXPECT_DOUBLE_EQ(snap.wall_seconds, 0.0);
   EXPECT_EQ(snap.threads, 0u);
@@ -97,6 +102,8 @@ TEST(History, CorruptSnapshotGivesActionableError) {
   std::string error;
   EXPECT_FALSE(try_load_snapshot(path.string(), &error));
   EXPECT_NE(error.find(path.string()), std::string::npos);
+  // The parser pins where the document broke off (a torn write).
+  EXPECT_NE(error.find("byte offset 11 of 20"), std::string::npos) << error;
   std::filesystem::remove(path);
 
   // The throwing loader still throws (gates that want hard failure).
@@ -239,6 +246,74 @@ TEST(History, WriteSnapshotCreatesTaggedFile) {
   ASSERT_EQ(reread.cells.size(), 2u);
   EXPECT_TRUE(diff_snapshots(parse_snapshot(res.to_json()), reread).clean());
 
+  std::filesystem::remove_all(dir);
+}
+
+// ---- write_file_atomic: the durable write under history, replay bundles,
+// traces and sweep exports -------------------------------------------------
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Names in `dir` that look like a staged temp file ("*.tmp.*").
+std::vector<std::string> temp_leftovers(const std::filesystem::path& dir) {
+  std::vector<std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".tmp.") != std::string::npos) out.push_back(name);
+  }
+  return out;
+}
+
+TEST(WriteFileAtomic, ReplacesTheFileWholeAndLeavesNoTempFile) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "paratick_atomic_replace";
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "sub" / "out.json").string();
+
+  write_file_atomic(path, std::string(4096, 'a'));  // creates "sub" too
+  EXPECT_EQ(read_file(path), std::string(4096, 'a'));
+  // A shorter document replaces the longer one whole: no stale tail.
+  write_file_atomic(path, "short\n");
+  EXPECT_EQ(read_file(path), "short\n");
+  EXPECT_TRUE(temp_leftovers(dir / "sub").empty());
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WriteFileAtomic, UnwritableDirectoryThrowsAndKeepsTheOldContent) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "paratick_atomic_readonly";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "out.json").string();
+  write_file_atomic(path, "old content\n");
+  ASSERT_EQ(::chmod(dir.c_str(), 0555), 0);
+
+  // Root ignores directory permissions; drop to an unprivileged effective
+  // uid for the write so the directory really is unwritable.
+  const uid_t euid = ::geteuid();
+  if (euid == 0 && ::seteuid(65534) != 0) {
+    ::chmod(dir.c_str(), 0755);
+    GTEST_SKIP() << "running as root without the right to drop privileges";
+  }
+  bool threw = false;
+  try {
+    write_file_atomic(path, "new content\n");
+  } catch (const sim::SimError& e) {
+    threw = true;
+    EXPECT_NE(e.msg().find(path), std::string::npos) << e.msg();
+  }
+  if (euid == 0) {
+    ASSERT_EQ(::seteuid(0), 0);
+  }
+  ::chmod(dir.c_str(), 0755);
+
+  EXPECT_TRUE(threw) << "write into a read-only directory must throw";
+  EXPECT_EQ(read_file(path), "old content\n");
+  EXPECT_TRUE(temp_leftovers(dir).empty());
   std::filesystem::remove_all(dir);
 }
 

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -11,7 +13,6 @@
 #include "core/record_replay/trace.hpp"
 #include "core/replay.hpp"
 #include "core/sweep.hpp"
-#include "core/sweep_shard.hpp"
 #include "expect_error.hpp"
 #include "workload/micro.hpp"
 
@@ -135,12 +136,70 @@ SweepRun record_run0(SweepConfig cfg, EventTrace* trace) {
   return run;
 }
 
-/// Run-record JSON with the two host-wall-clock fields zeroed — everything
-/// else in the record is deterministic and must round-trip bit-exactly.
-std::string scrubbed_record(SweepRun run) {
-  run.host_seconds = 0.0;
-  run.result.engine_wall_ns = 0;
-  return run_record_to_json(run);
+void put_acc(std::ostringstream& out, const sim::Accumulator& a) {
+  const sim::Accumulator::State st = a.state();
+  out << " acc(" << st.n << ' ' << st.mean << ' ' << st.m2 << ' ' << st.sum
+      << ' ' << st.min << ' ' << st.max << ')';
+}
+
+template <typename Range>
+void put_all(std::ostringstream& out, const Range& values) {
+  out << " [";
+  for (const auto v : values) out << ' ' << v;
+  out << " ]";
+}
+
+/// Every deterministic field of a run as text, doubles at full precision.
+/// The two host-wall-clock fields (host_seconds, engine_wall_ns) are left
+/// out; everything else must match bit-exactly between equivalent runs.
+std::string scrubbed_record(const SweepRun& run) {
+  std::ostringstream out;
+  out << std::setprecision(17) << run.run_index << ' ' << run.cell << ' '
+      << run.replica << ' ' << run.seed << ' ' << run.ok << ' '
+      << run.bundle_path << '|' << run.trace_path << '|';
+  if (run.failure) {
+    const RunFailure& f = *run.failure;
+    out << RunFailure::kind_name(f.kind) << '|' << f.expr << '|' << f.file
+        << ':' << f.line << '|' << f.message << '|' << f.sim_time_ns << ' '
+        << f.events_executed;
+  }
+  if (!run.ok) return out.str();
+  const metrics::RunResult& r = run.result;
+  out << " wall=" << r.wall.nanoseconds() << " cycles";
+  for (std::size_t i = 0; i < hw::kCycleCategoryCount; ++i) {
+    out << ' ' << r.cycles.total(static_cast<hw::CycleCategory>(i)).count();
+  }
+  out << " exits=" << r.exits_total << ' ' << r.exits_timer_related;
+  put_all(out, r.exits_by_cause);
+  out << " events=" << r.events_executed << ' ' << r.events_scheduled << ' '
+      << r.events_cancelled << ' ' << r.callback_spills << ' '
+      << r.callback_spill_bytes << ' ' << r.slot_high_water << ' '
+      << r.queue_compactions << " par=" << r.par_windows << ' '
+      << r.par_windows_skipped << ' ' << r.par_barriers_elided << ' '
+      << r.par_horizon_max_ns;
+  const fault::FaultStats& fs = r.faults;
+  out << " faults=" << fs.timer_dropped << ' ' << fs.timer_delayed << ' '
+      << fs.timer_coalesced << ' ' << fs.io_errors << ' ' << fs.io_spikes << ' '
+      << fs.steal_bursts << ' ' << fs.ticks_delayed << ' '
+      << fs.softirq_spurious << ' ' << fs.softirq_dropped;
+  for (const metrics::VmResult& vm : r.vms) {
+    out << "\nvm exits=" << vm.exits_total << ' ' << vm.exits_timer_related;
+    put_all(out, vm.exits_by_cause);
+    out << " done="
+        << (vm.completion_time ? vm.completion_time->nanoseconds() : -1);
+    const auto& p = vm.policy;
+    out << " policy=" << p.ticks_handled << ' ' << p.virtual_ticks << ' '
+        << p.msr_writes << ' ' << p.msr_writes_avoided << ' ' << p.idle_entries
+        << ' ' << p.idle_exits << ' ' << p.busy_stops;
+    put_acc(out, vm.tick_intervals_us);
+    out << " tasks=" << vm.task_blocks << ' ' << vm.task_wakes;
+    put_acc(out, vm.wakeup_latency_us);
+    put_all(out, vm.wakeup_latency_hist_us.buckets());
+    out << " io_errors=" << vm.io_errors
+        << " steal=" << vm.steal_time.nanoseconds() << ' '
+        << (vm.steal_estimate ? vm.steal_estimate->nanoseconds() : -1);
+  }
+  return out.str();
 }
 
 TEST(RecordReplay, RoundTripHasZeroDivergencesAndByteIdenticalResult) {
@@ -372,34 +431,41 @@ TEST(RecordReplay, FaultKnobChangeDivergesFromTheRecordedTrace) {
   EXPECT_LT(checked.divergence->index, trace.count());
 }
 
-TEST(RecordReplay, CheckReplayRefusesCrashBundles) {
+TEST(RecordReplay, LoadRejectsCrashBundlesFromOlderBuilds) {
+  // Older builds ran sweeps in forked children and recorded a child's
+  // signal death as failure kind "crash". Nothing can reproduce that kind
+  // any more, so loading such a bundle must fail and name file and kind.
   ReplayBundle bundle;
-  bundle.failure.kind = RunFailure::Kind::kCrash;
-  EventTrace trace;
-  trace.append(1, 0, 0);
-  EXPECT_SIM_ERROR((void)check_replay(chaos_sweep(1), bundle, trace),
-                   "forked child");
+  bundle.failure.kind = RunFailure::Kind::kWatchdog;
+  std::string text = to_json(bundle);
+  const std::string kind = "\"kind\": \"watchdog\"";
+  const std::size_t at = text.find(kind);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, kind.size(), "\"kind\": \"crash\"");
+  const std::string path = fresh_dir("crash_bundle") + "/run0.json";
+  std::ofstream(path) << text;
+
+  try {
+    (void)load_replay_bundle(path);
+    FAIL() << "a crash bundle must not load";
+  } catch (const sim::SimError& e) {
+    EXPECT_NE(e.msg().find(path), std::string::npos) << e.msg();
+    EXPECT_NE(e.msg().find("unknown failure kind \"crash\""), std::string::npos)
+        << e.msg();
+  }
 }
 
-TEST(RecordReplay, TraceBytesIdenticalAcrossThreadsAndBackends) {
-  // The determinism contract extends to traces: any -j, either backend,
-  // byte-identical trace files per run index. The fork leg additionally
-  // proves traces survive crash-isolated children (the file is written
-  // inside the child; the path rides the pipe protocol back).
+TEST(RecordReplay, TraceBytesIdenticalAcrossThreadCounts) {
+  // The determinism contract extends to traces: any -j, byte-identical
+  // trace files per run index.
   struct Leg {
     const char* name;
     unsigned threads;
-    BackendKind backend;
   };
-  const Leg legs[] = {
-      {"j1", 1, BackendKind::kThread},
-      {"j4", 4, BackendKind::kThread},
-      {"fork", 2, BackendKind::kFork},
-  };
+  const Leg legs[] = {{"j1", 1}, {"j2", 2}, {"j4", 4}};
   std::vector<SweepResult> results;
   for (const Leg& leg : legs) {
     SweepConfig cfg = chaos_sweep(leg.threads);
-    cfg.backend = leg.backend;
     cfg.record_trace = true;
     cfg.failure_dir = fresh_dir(std::string("bytes_") + leg.name);
     results.push_back(SweepRunner(cfg).run());

@@ -1,21 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/exec_backend.hpp"
-#include "core/replay.hpp"
 #include "core/sweep.hpp"
-#include "core/sweep_shard.hpp"
 #include "core/thread_pool.hpp"
-#include "sim/error.hpp"
 #include "workload/micro.hpp"
 
 namespace paratick::core {
@@ -102,6 +94,7 @@ TEST(SweepRunner, ParallelMatchesSerialBitExactly) {
   }
   // And the exported artifacts match byte for byte.
   EXPECT_EQ(serial.to_csv(), parallel.to_csv());
+  EXPECT_EQ(serial.to_json(), parallel.to_json());
 }
 
 TEST(SweepRunner, ReplicasUseDistinctSeeds) {
@@ -256,314 +249,6 @@ TEST(SweepCli, ParsesFlagsAndPositionals) {
   EXPECT_EQ(cfg.threads, 4u);
   EXPECT_EQ(cfg.repeat, 3);
   EXPECT_EQ(cfg.root_seed, 99u);
-}
-
-TEST(ShardSpec, ParsesAndRejectsMalformedSpecs) {
-  const ShardSpec s = ShardSpec::parse("1/4");
-  EXPECT_EQ(s.index, 1u);
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_TRUE(s.active());
-  EXPECT_EQ(s.label(), "1/4");
-  // Round-robin slicing partitions the index space.
-  for (std::size_t i = 0; i < 16; ++i) {
-    unsigned owners = 0;
-    for (unsigned k = 0; k < 4; ++k) {
-      if (ShardSpec{k, 4}.owns(i)) ++owners;
-    }
-    EXPECT_EQ(owners, 1u);
-  }
-  EXPECT_FALSE(ShardSpec::parse("0/1").active());  // trivial shard = unsharded
-  for (const char* bad : {"", "x", "2", "2/2", "5/4", "1/0", "-1/2", "a/b"}) {
-    EXPECT_THROW((void)ShardSpec::parse(bad), sim::SimError) << bad;
-  }
-}
-
-TEST(SweepBackends, ForkMatchesThreadByteForByte) {
-  // The acceptance bar for the backend split: same plan, different
-  // execution strategy, bit-identical artifacts. Covered for two distinct
-  // sweep shapes (workload-variant grid, tick-frequency grid).
-  for (const bool with_freq_axis : {false, true}) {
-    SweepConfig thread_cfg = tiny_sweep(4);
-    if (with_freq_axis) thread_cfg.tick_freqs_hz = {100.0, 1000.0};
-    SweepConfig fork_cfg = thread_cfg;
-    fork_cfg.backend = BackendKind::kFork;
-
-    const SweepResult a = SweepRunner(std::move(thread_cfg)).run();
-    const SweepResult b = SweepRunner(std::move(fork_cfg)).run();
-    EXPECT_EQ(a.backend_name, "thread");
-    EXPECT_EQ(b.backend_name, "fork");
-    EXPECT_EQ(a.to_csv(), b.to_csv());
-    EXPECT_EQ(a.to_json(), b.to_json());
-    ASSERT_EQ(a.runs.size(), b.runs.size());
-    for (std::size_t i = 0; i < a.runs.size(); ++i) {
-      EXPECT_EQ(a.runs[i].seed, b.runs[i].seed);
-      EXPECT_EQ(a.runs[i].result.events_executed, b.runs[i].result.events_executed);
-    }
-  }
-}
-
-TEST(SweepShards, MergeIsShardCountInvariant) {
-  // Split the same sweep 1, 2 and 4 ways; each shard writes a partial
-  // snapshot, and the merged result must be byte-identical to the
-  // single-host run — CSV and JSON both.
-  const std::string dir = ::testing::TempDir() + "shard_invariance";
-  std::filesystem::remove_all(dir);
-  const SweepResult reference = SweepRunner(tiny_sweep(2)).run();
-
-  for (const unsigned shards : {1u, 2u, 4u}) {
-    std::vector<PartialSnapshot> partials;
-    for (unsigned k = 0; k < shards; ++k) {
-      SweepConfig cfg = tiny_sweep(2);
-      cfg.shard = ShardSpec{k, shards};
-      cfg.output_dir = dir;
-      cfg.partial_path =  // relative: must resolve against output_dir
-          "partial-" + std::to_string(k) + "of" + std::to_string(shards) + ".json";
-      const SweepResult slice = SweepRunner(std::move(cfg)).run();
-      EXPECT_LE(slice.executed_run_count(), reference.runs.size());
-      const std::string path = dir + "/partial-" + std::to_string(k) + "of" +
-                               std::to_string(shards) + ".json";
-      ASSERT_TRUE(std::filesystem::exists(path)) << path;
-      partials.push_back(load_partial_snapshot(path));
-    }
-    const SweepResult merged = merge_partial_snapshots(partials);
-    EXPECT_EQ(merged.to_csv(), reference.to_csv()) << shards << " shards";
-    EXPECT_EQ(merged.to_json(), reference.to_json()) << shards << " shards";
-    EXPECT_EQ(merged.executed_run_count(), reference.runs.size());
-  }
-}
-
-// A sweep where the dynticks cells deterministically fail: every hardware
-// timer interrupt is dropped, so the busy dynticks guest breaches the
-// watchdog while paratick (no hardware timer) completes. Produces DEGRADED
-// cells with real failure records to push through the shard/merge path.
-SweepConfig degraded_sweep() {
-  SweepConfig cfg;
-  cfg.base.machine = hw::MachineSpec::small(1);
-  cfg.base.vcpus = 1;
-  cfg.base.max_duration = sim::SimTime::ms(200);
-  cfg.base.setup = [](guest::GuestKernel& k) {
-    workload::PureComputeSpec compute;
-    compute.total_cycles = 100'000'000;
-    compute.chunks = 100;
-    workload::install_pure_compute(k, compute);
-  };
-  cfg.modes = {guest::TickMode::kDynticksIdle, guest::TickMode::kParatick};
-  cfg.fault.timer_drop_prob = 1.0;
-  cfg.watchdog = true;
-  cfg.repeat = 2;
-  cfg.root_seed = 4242;
-  cfg.threads = 2;
-  return cfg;
-}
-
-TEST(SweepShards, MergePreservesDegradedCells) {
-  const SweepResult reference = SweepRunner(degraded_sweep()).run();
-  ASSERT_GT(reference.degraded_cell_count(), 0u);
-  ASSERT_FALSE(reference.failed_runs().empty());
-
-  const std::string dir = ::testing::TempDir() + "shard_degraded";
-  std::filesystem::remove_all(dir);
-  std::vector<PartialSnapshot> partials;
-  for (unsigned k = 0; k < 2; ++k) {
-    SweepConfig cfg = degraded_sweep();
-    cfg.shard = ShardSpec{k, 2};
-    cfg.output_dir = dir;
-    cfg.partial_path = "part" + std::to_string(k) + ".json";
-    const SweepResult slice = SweepRunner(std::move(cfg)).run();
-    partials.push_back(
-        load_partial_snapshot(dir + "/part" + std::to_string(k) + ".json"));
-  }
-  const SweepResult merged = merge_partial_snapshots(partials);
-  EXPECT_EQ(merged.to_csv(), reference.to_csv());
-  EXPECT_EQ(merged.to_json(), reference.to_json());
-  EXPECT_EQ(merged.degraded_cell_count(), reference.degraded_cell_count());
-  ASSERT_EQ(merged.failed_runs().size(), reference.failed_runs().size());
-  for (std::size_t i = 0; i < merged.failed_runs().size(); ++i) {
-    const RunFailure& m = *merged.failed_runs()[i]->failure;
-    const RunFailure& r = *reference.failed_runs()[i]->failure;
-    EXPECT_EQ(m.kind, r.kind);
-    EXPECT_EQ(m.expr, r.expr);
-    EXPECT_EQ(m.sim_time_ns, r.sim_time_ns);
-  }
-}
-
-TEST(SweepShards, CorruptPartialIsAnActionableError) {
-  const std::string dir = ::testing::TempDir() + "shard_corrupt";
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/partial.json";
-  std::ofstream(path) << "{\"kind\": \"paratick-partial-sweep\", \"version\": 1,";
-  try {
-    (void)load_partial_snapshot(path);
-    FAIL() << "corrupt partial must throw";
-  } catch (const sim::SimError& e) {
-    EXPECT_NE(e.msg().find("corrupt partial snapshot"), std::string::npos) << e.msg();
-    EXPECT_NE(e.msg().find(path), std::string::npos) << e.msg();
-    EXPECT_NE(e.msg().find("regenerate"), std::string::npos) << e.msg();
-  }
-}
-
-TEST(SweepShards, MergeRejectsDuplicateAndForeignShards) {
-  const std::string dir = ::testing::TempDir() + "shard_reject";
-  std::filesystem::remove_all(dir);
-  std::vector<PartialSnapshot> partials;
-  for (unsigned k = 0; k < 2; ++k) {
-    SweepConfig cfg = tiny_sweep(1, 1);
-    cfg.shard = ShardSpec{k, 2};
-    cfg.output_dir = dir;
-    cfg.partial_path = "p" + std::to_string(k) + ".json";
-    (void)SweepRunner(std::move(cfg)).run();
-    partials.push_back(load_partial_snapshot(dir + "/p" + std::to_string(k) + ".json"));
-  }
-
-  // Same shard twice: a run index is covered twice.
-  try {
-    (void)merge_partial_snapshots({partials[0], partials[0]});
-    FAIL() << "duplicate shard must throw";
-  } catch (const sim::SimError& e) {
-    EXPECT_NE(e.msg().find("same shard twice"), std::string::npos) << e.msg();
-  }
-
-  // Missing shard: a run index is covered by no partial.
-  try {
-    (void)merge_partial_snapshots({partials[0]});
-    FAIL() << "missing shard must throw";
-  } catch (const sim::SimError& e) {
-    EXPECT_NE(e.msg().find("covered by no partial"), std::string::npos) << e.msg();
-  }
-
-  // Foreign partial: different sweep identity.
-  PartialSnapshot foreign = partials[1];
-  foreign.root_seed ^= 1;
-  EXPECT_THROW((void)merge_partial_snapshots({partials[0], foreign}),
-               sim::SimError);
-}
-
-// A sweep whose "boom" variant calls abort() during guest setup — the
-// harshest failure a run can produce. Under the fork backend this kills
-// the child with SIGABRT; the sweep must survive, record the replica as
-// kCrash, and write a replay bundle that reproduces the crash.
-SweepConfig crashing_sweep(const std::string& failure_dir) {
-  SweepConfig cfg;
-  cfg.base.machine = hw::MachineSpec::small(1);
-  cfg.base.vcpus = 1;
-  cfg.base.max_duration = sim::SimTime::ms(10);
-  cfg.modes = {guest::TickMode::kParatick};
-  cfg.variants.push_back({"boom", [](ExperimentSpec& exp) {
-    exp.setup = [](guest::GuestKernel&) { std::abort(); };
-  }});
-  cfg.repeat = 1;
-  cfg.root_seed = 7;
-  cfg.threads = 1;
-  cfg.backend = BackendKind::kFork;
-  cfg.failure_dir = failure_dir;
-  cfg.bench_name = "test_sweep_crash";
-  return cfg;
-}
-
-TEST(ForkBackend, ChildAbortBecomesFailedReplicaWithReplayBundle) {
-  const std::string dir = ::testing::TempDir() + "fork_crash";
-  std::filesystem::remove_all(dir);
-  const SweepResult res = SweepRunner(crashing_sweep(dir)).run();
-
-  ASSERT_EQ(res.runs.size(), 1u);
-  const SweepRun& run = res.runs[0];
-  EXPECT_TRUE(run.executed);
-  EXPECT_FALSE(run.ok);
-  ASSERT_TRUE(run.failure.has_value());
-  EXPECT_EQ(run.failure->kind, RunFailure::Kind::kCrash);
-  EXPECT_NE(run.failure->message.find("signal"), std::string::npos)
-      << run.failure->message;
-
-  // The bundle landed in the per-bench subdirectory and replays: the crash
-  // is re-executed in a forked child (execute_run_isolated) so the
-  // replayer itself survives, and reproduces() accepts a same-kind death.
-  ASSERT_FALSE(run.bundle_path.empty());
-  EXPECT_NE(run.bundle_path.find("test_sweep_crash/run0.json"), std::string::npos)
-      << run.bundle_path;
-  ASSERT_TRUE(std::filesystem::exists(run.bundle_path));
-  const ReplayBundle bundle = load_replay_bundle(run.bundle_path);
-  EXPECT_EQ(bundle.failure.kind, RunFailure::Kind::kCrash);
-  const SweepRun replayed = replay_run(crashing_sweep(""), bundle);
-  ASSERT_TRUE(replayed.failure.has_value());
-  EXPECT_EQ(replayed.failure->kind, RunFailure::Kind::kCrash);
-  std::string detail;
-  EXPECT_TRUE(reproduces(bundle, replayed, &detail)) << detail;
-}
-
-TEST(ForkBackend, BatchedForkMatchesThreadByteForByte) {
-  // --fork-batch changes only how runs are grouped into children; results
-  // must stay bit-identical to the thread backend for several batch sizes,
-  // including one larger than the whole plan (a single child runs it all).
-  const SweepResult reference = SweepRunner(tiny_sweep(4)).run();
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{100}}) {
-    SweepConfig cfg = tiny_sweep(4);
-    cfg.backend = BackendKind::kFork;
-    cfg.fork_batch = batch;
-    const SweepResult batched = SweepRunner(std::move(cfg)).run();
-    EXPECT_EQ(reference.to_csv(), batched.to_csv()) << "batch=" << batch;
-    EXPECT_EQ(reference.to_json(), batched.to_json()) << "batch=" << batch;
-  }
-}
-
-TEST(ForkBackend, MidBatchCrashKeepsFinishedRunsAndRequeuesTail) {
-  // One child runs [ok, boom, tail] as a single batch. The completed
-  // "ok" record must survive the child's SIGABRT, "boom" becomes the
-  // kCrash replica (with a bundle pointing at exactly that run), and the
-  // never-started "tail" run is re-enqueued and executed by a fresh child.
-  const std::string dir = ::testing::TempDir() + "fork_batch_crash";
-  std::filesystem::remove_all(dir);
-  const auto make = [&](const std::string& failure_dir) {
-    SweepConfig cfg = crashing_sweep(failure_dir);
-    cfg.variants.insert(cfg.variants.begin(), {"ok", [](ExperimentSpec&) {}});
-    cfg.variants.push_back({"tail", [](ExperimentSpec&) {}});
-    cfg.fork_batch = 3;
-    return cfg;
-  };
-  const SweepResult res = SweepRunner(make(dir)).run();
-
-  ASSERT_EQ(res.runs.size(), 3u);
-  EXPECT_TRUE(res.runs[0].ok);
-  EXPECT_TRUE(res.runs[2].ok);
-  const SweepRun& crashed = res.runs[1];
-  EXPECT_TRUE(crashed.executed);
-  EXPECT_FALSE(crashed.ok);
-  ASSERT_TRUE(crashed.failure.has_value());
-  EXPECT_EQ(crashed.failure->kind, RunFailure::Kind::kCrash);
-  EXPECT_NE(crashed.failure->message.find("signal"), std::string::npos)
-      << crashed.failure->message;
-  ASSERT_FALSE(crashed.bundle_path.empty());
-  EXPECT_NE(crashed.bundle_path.find("test_sweep_crash/run1.json"),
-            std::string::npos)
-      << crashed.bundle_path;
-  ASSERT_TRUE(std::filesystem::exists(crashed.bundle_path));
-  const ReplayBundle bundle = load_replay_bundle(crashed.bundle_path);
-  const SweepRun replayed = replay_run(make(""), bundle);
-  std::string detail;
-  EXPECT_TRUE(reproduces(bundle, replayed, &detail)) << detail;
-
-  // The surviving runs must match a clean isolated execution of the same
-  // run indices — batching plus a neighbor's crash changed nothing.
-  for (const std::size_t idx : {std::size_t{0}, std::size_t{2}}) {
-    const SweepRun ref = execute_run_isolated(make(""), idx);
-    ASSERT_TRUE(ref.ok);
-    EXPECT_EQ(res.runs[idx].seed, ref.seed);
-    EXPECT_EQ(res.runs[idx].result.events_executed,
-              ref.result.events_executed);
-    EXPECT_EQ(res.runs[idx].result.exits_total, ref.result.exits_total);
-  }
-}
-
-TEST(ForkBackend, IsolatedRunMatchesInProcessRun) {
-  // execute_run_isolated is the replay path for crash bundles; for a
-  // healthy run it must reproduce the in-process result exactly.
-  SweepConfig cfg = tiny_sweep(1, 1);
-  const SweepResult reference = SweepRunner(cfg).run();
-  const SweepRun isolated = execute_run_isolated(tiny_sweep(1, 1), 0);
-  EXPECT_TRUE(isolated.ok);
-  EXPECT_EQ(isolated.seed, reference.runs[0].seed);
-  EXPECT_EQ(isolated.result.events_executed,
-            reference.runs[0].result.events_executed);
-  EXPECT_EQ(isolated.result.exits_total, reference.runs[0].result.exits_total);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
