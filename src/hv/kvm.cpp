@@ -222,12 +222,11 @@ void Kvm::freeze_vm(Vm& vm) {
 // Cost helpers
 // ---------------------------------------------------------------------------
 
-void Kvm::charge_and_then(hw::CpuId cpu, hw::CycleCategory cat, sim::Cycles c,
-                          sim::InlineCallback then) {
+sim::SimTime Kvm::charge(hw::CpuId cpu, hw::CycleCategory cat, sim::Cycles c) {
   PARATICK_DCHECK(cpu != kNoCpu);
   auto& pcpu = machine_.cpu(cpu);
   pcpu.charge_cycles(cat, c);
-  engine_.schedule_after(pcpu.frequency().time_for(c), std::move(then));
+  return pcpu.frequency().time_for(c);
 }
 
 // ---------------------------------------------------------------------------
@@ -277,8 +276,7 @@ void Kvm::segment_complete(Vcpu& vcpu) {
 // The run loop: exits and entries
 // ---------------------------------------------------------------------------
 
-void Kvm::do_exit(Vcpu& vcpu, hw::ExitCause cause,
-                  sim::InlineCallback host_work_then_entry) {
+sim::SimTime Kvm::begin_exit(Vcpu& vcpu, hw::ExitCause cause) {
   PARATICK_CHECK_MSG(vcpu.state == VcpuState::kInGuest, "exit from a non-running vCPU");
   pause_current(vcpu);
   vcpu.state = VcpuState::kInHost;
@@ -288,8 +286,7 @@ void Kvm::do_exit(Vcpu& vcpu, hw::ExitCause cause,
   PARATICK_LOG(kLogDebug, engine_.now(), "kvm", "vcpu %u exit %s", vcpu.id(),
                std::string(hw::to_string(cause)).c_str());
   const sim::Cycles cost = config_.exit_costs.total_for(hw::reason_for(cause));
-  charge_and_then(vcpu.pcpu, hw::CycleCategory::kExitOverhead, cost,
-                  std::move(host_work_then_entry));
+  return charge(vcpu.pcpu, hw::CycleCategory::kExitOverhead, cost);
 }
 
 void Kvm::give_control_to_guest(Vcpu& vcpu) {

@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hv/cost_model.hpp"
@@ -136,12 +137,17 @@ class Kvm {
   };
 
   // --- time/cost helpers ---
-  // Continuations on the exit/entry hot path are sim::InlineCallback:
-  // every capture lives in the event slot, no per-exit heap allocation.
-  // (The public port API keeps std::function — those `done` completions
-  // are captured *into* the inline continuations below.)
-  void charge_and_then(hw::CpuId cpu, hw::CycleCategory cat, sim::Cycles c,
-                       sim::InlineCallback then);
+  // Continuations on the exit/entry hot path are forwarded into their
+  // event slot (sim::EventQueue::schedule) and run there: no per-exit heap
+  // allocation and no moves on the way. (The public port API keeps
+  // std::function — those `done` completions are captured *into* the
+  // continuations below.)
+  /// Charge `c` cycles of `cat` to `cpu`; returns how long they take.
+  sim::SimTime charge(hw::CpuId cpu, hw::CycleCategory cat, sim::Cycles c);
+  template <typename F>
+  void charge_and_then(hw::CpuId cpu, hw::CycleCategory cat, sim::Cycles c, F&& then) {
+    engine_.schedule_after(charge(cpu, cat, c), std::forward<F>(then));
+  }
 
   // --- segment management ---
   void pause_current(Vcpu& vcpu);
@@ -154,7 +160,14 @@ class Kvm {
   // explicit thunk (kThunk: a synchronous port-op completion).
   enum class AfterEntry : std::uint8_t { kResume, kThunk };
   void vmentry(Vcpu& vcpu, AfterEntry kind, std::function<void()> thunk = nullptr);
-  void do_exit(Vcpu& vcpu, hw::ExitCause cause, sim::InlineCallback host_work_then_entry);
+  /// Take `vcpu` out of the guest for `cause` and charge the exit cost;
+  /// returns how long that cost takes.
+  sim::SimTime begin_exit(Vcpu& vcpu, hw::ExitCause cause);
+  template <typename F>
+  void do_exit(Vcpu& vcpu, hw::ExitCause cause, F&& host_work_then_entry) {
+    const sim::SimTime cost = begin_exit(vcpu, cause);
+    engine_.schedule_after(cost, std::forward<F>(host_work_then_entry));
+  }
   void give_control_to_guest(Vcpu& vcpu);
 
   // --- scheduling ---

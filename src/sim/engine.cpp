@@ -27,6 +27,18 @@ class ScopedCurrent {
   Engine* prev_;
 };
 
+// Calls EventQueue::end_dispatch() when the dispatching scope exits.
+class EndDispatch {
+ public:
+  explicit EndDispatch(EventQueue& q) : q_(q) {}
+  ~EndDispatch() { q_.end_dispatch(); }
+  EndDispatch(const EndDispatch&) = delete;
+  EndDispatch& operator=(const EndDispatch&) = delete;
+
+ private:
+  EventQueue& q_;
+};
+
 std::uint64_t steady_now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -83,16 +95,6 @@ void Engine::arm_wall_limit() {
   wall_deadline_ns_ = steady_now_ns() + wall_budget_ns_;
 }
 
-EventId Engine::schedule_at(SimTime when, Callback fn) {
-  PARATICK_CHECK_MSG(when >= now_, "cannot schedule an event in the past");
-  return queue_.schedule(when, std::move(fn));
-}
-
-EventId Engine::schedule_after(SimTime delay, Callback fn) {
-  PARATICK_CHECK_MSG(delay >= SimTime::zero(), "negative delay");
-  return queue_.schedule(now_ + delay, std::move(fn));
-}
-
 namespace {
 
 constexpr std::uint64_t mix64(std::uint64_t z) {
@@ -117,21 +119,26 @@ std::uint64_t Engine::state_digest() const {
 bool Engine::step() {
   if (queue_.empty()) return false;
   arm_wall_limit();  // covers bare step() loops that never enter run()
-  auto [when, seq, fn] = queue_.pop();
+  const auto [when, seq] = queue_.begin_dispatch();
   PARATICK_DCHECK(when >= now_);
   now_ = when;
-  // Checked every 512 events, including the very first (executed_ == 0),
-  // so an already-exhausted budget trips on the next step rather than
-  // 512 events later.
-  if (wall_limited_ && (executed_ & 511u) == 0 &&
-      steady_now_ns() > wall_deadline_ns_) {
-    throw SimError(SimError::Kind::kTimeout, "wall-clock limit exceeded", "", 0,
-                   "run exceeded its wall-clock budget (hung or runaway run)",
-                   now_, executed_);
+  {
+    // Ends the dispatch on every exit path: the timeout below consumes the
+    // event unrun, and a throwing callback still frees its slot and root.
+    EndDispatch end{queue_};
+    // Checked every 512 events, including the very first (executed_ == 0),
+    // so an already-exhausted budget trips on the next step rather than
+    // 512 events later.
+    if (wall_limited_ && (executed_ & 511u) == 0 &&
+        steady_now_ns() > wall_deadline_ns_) {
+      throw SimError(SimError::Kind::kTimeout, "wall-clock limit exceeded", "", 0,
+                     "run exceeded its wall-clock budget (hung or runaway run)",
+                     now_, executed_);
+    }
+    ++executed_;
+    ScopedCurrent guard(this);
+    queue_.run_dispatched();
   }
-  ++executed_;
-  ScopedCurrent guard(this);
-  fn();
   if (observer_ != nullptr) observer_->on_event_executed(*this, when, seq);
   return true;
 }

@@ -6,7 +6,9 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
+#include "sim/check.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/types.hpp"
 
@@ -69,10 +71,19 @@ class Engine {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedule `fn` at absolute time `when` (must not be in the past).
-  EventId schedule_at(SimTime when, Callback fn);
+  /// The callable is forwarded into its event slot and runs there.
+  template <typename F>
+  EventId schedule_at(SimTime when, F&& fn) {
+    PARATICK_CHECK_MSG(when >= now_, "cannot schedule an event in the past");
+    return queue_.schedule(when, std::forward<F>(fn));
+  }
 
   /// Schedule `fn` after a non-negative delay from now.
-  EventId schedule_after(SimTime delay, Callback fn);
+  template <typename F>
+  EventId schedule_after(SimTime delay, F&& fn) {
+    PARATICK_CHECK_MSG(delay >= SimTime::zero(), "negative delay");
+    return queue_.schedule(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Cancel a pending event; returns true if it had not yet fired.
   bool cancel(EventId id) { return queue_.cancel(id); }

@@ -42,18 +42,7 @@ class InlineCallback {
                 !std::is_same_v<std::remove_cvref_t<F>, InlineCallback> &&
                 std::is_invocable_r_v<void, std::remove_cvref_t<F>&>>>
   InlineCallback(F&& fn) {  // NOLINT(google-explicit-constructor)
-    using D = std::remove_cvref_t<F>;
-    static_assert(sizeof(D) <= kCapacity,
-                  "capture is larger than InlineCallback::kCapacity: shrink "
-                  "the capture (capture a pointer to long-lived state) or, if "
-                  "the allocation is genuinely wanted, use "
-                  "InlineCallback::spill()");
-    static_assert(alignof(D) <= kAlign,
-                  "capture is over-aligned for InlineCallback's buffer");
-    static_assert(std::is_nothrow_move_constructible_v<D>,
-                  "InlineCallback requires a noexcept-movable callable");
-    ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
-    ops_ = &OpsFor<D>::value;
+    construct(std::forward<F>(fn));
   }
 
   InlineCallback(InlineCallback&& other) noexcept : ops_(other.ops_) {
@@ -111,6 +100,19 @@ class InlineCallback {
     return ops_ == nullptr ? 0 : ops_->spill_bytes;
   }
 
+  /// Replace the stored callable with `fn`, built directly in the buffer
+  /// (no intermediate InlineCallback, so no relocate). Passing an
+  /// InlineCallback moves it in.
+  template <typename F>
+  void emplace(F&& fn) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<F>, InlineCallback>) {
+      *this = std::forward<F>(fn);
+    } else {
+      reset();
+      construct(std::forward<F>(fn));
+    }
+  }
+
   void reset() noexcept {
     if (ops_ != nullptr) {
       ops_->destroy(buf_);
@@ -119,6 +121,24 @@ class InlineCallback {
   }
 
  private:
+  template <typename F>
+  void construct(F&& fn) {
+    using D = std::remove_cvref_t<F>;
+    static_assert(std::is_invocable_r_v<void, D&>,
+                  "InlineCallback needs a callable taking no arguments");
+    static_assert(sizeof(D) <= kCapacity,
+                  "capture is larger than InlineCallback::kCapacity: shrink "
+                  "the capture (capture a pointer to long-lived state) or, if "
+                  "the allocation is genuinely wanted, use "
+                  "InlineCallback::spill()");
+    static_assert(alignof(D) <= kAlign,
+                  "capture is over-aligned for InlineCallback's buffer");
+    static_assert(std::is_nothrow_move_constructible_v<D>,
+                  "InlineCallback requires a noexcept-movable callable");
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
+    ops_ = &OpsFor<D>::value;
+  }
+
   struct Ops {
     void (*invoke)(void*);
     void (*relocate)(void* dst, void* src) noexcept;  // move-construct, then destroy src
